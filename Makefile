@@ -29,14 +29,10 @@ perf-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro bench --quick \
 	  --out .cache/BENCH_sim.json --check BENCH_sim.json --tolerance 0.2
 
-# Sharded-engine bit-identity harness plus its perf smoke: the differential
-# suite diffs sharded vs single-process results exactly, then the bench
-# asserts sharded events/sec never falls below the single-engine column
-# (see docs/PERFORMANCE.md).
+# Differential suite: the production cache model against its reference
+# oracle, and idle-off runs against the pre-idle simulator, both bit-exact.
 differential:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/differential -q
-	PYTHONPATH=src $(PYTHON) -m repro bench --quick \
-	  --out .cache/BENCH_sim.json --sharded-smoke --tolerance 0.2
 
 # Regenerate the committed throughput baseline (full sweep; quiet machine).
 perf-baseline:

@@ -72,19 +72,11 @@ class SweepSettings:
     progress: bool = field(default_factory=_default_progress)
     #: Write a RunManifest beside every freshly simulated cache entry.
     write_manifests: bool = True
-    #: Per-GPM shard engines per simulation (see :mod:`repro.sim.sharded`).
-    #: Sharded results are bit-identical to single-engine runs, so the shard
-    #: count deliberately stays out of the cache key.
-    shards: int = 1
 
     def __post_init__(self) -> None:
         if self.processes < 1:
             raise ConfigError(
                 f"sweep processes must be >= 1, got {self.processes!r}"
-            )
-        if self.shards < 1:
-            raise ConfigError(
-                f"sweep shards must be >= 1, got {self.shards!r}"
             )
 
 
@@ -105,13 +97,11 @@ def _record_from_result(
     )
 
 
-def run_pair(
-    spec: WorkloadSpec, config: GpuConfig, shards: int = 1
-) -> RunRecord:
+def run_pair(spec: WorkloadSpec, config: GpuConfig) -> RunRecord:
     """Simulate one (workload, configuration) pair (no caching)."""
     workload = build_workload(spec)
     metrics = MetricsRegistry()
-    result = simulate(workload, config, metrics=metrics, shards=shards)
+    result = simulate(workload, config, metrics=metrics)
     return _record_from_result(spec, config, result, metrics)
 
 
@@ -125,14 +115,13 @@ class _PairTiming:
 
 
 def _timed_run_pair(
-    args: tuple[WorkloadSpec, GpuConfig] | tuple[WorkloadSpec, GpuConfig, int]
+    pair: tuple[WorkloadSpec, GpuConfig]
 ) -> tuple[RunRecord, _PairTiming]:
-    spec, config = args[0], args[1]
-    shards = args[2] if len(args) > 2 else 1
+    spec, config = pair
     start = time.perf_counter()
     workload = build_workload(spec)
     metrics = MetricsRegistry()
-    result = simulate(workload, config, metrics=metrics, shards=shards)
+    result = simulate(workload, config, metrics=metrics)
     wall_time_s = time.perf_counter() - start
     timing = _PairTiming(
         wall_time_s=wall_time_s,
@@ -267,17 +256,12 @@ class SweepRunner:
     # ------------------------------------------------------------------- runs
 
     def _worker_count(self, missing_count: int) -> int:
-        """Sweep processes to launch, budgeting cores for shard engines.
+        """Sweep processes to launch: never more than the work or the cores.
 
-        Each simulation may fork up to ``settings.shards`` shard workers
-        (see :mod:`repro.sim.sharded`), so the pool is clamped such that
-        ``workers * shards`` never exceeds the machine's core count — a
-        sweep larger than the core count gains nothing from extra
-        processes, and oversubscribing forked shards actively hurts.
+        A sweep larger than the core count gains nothing from extra
+        processes.
         """
-        shards = max(1, self.settings.shards)
-        core_budget = max(1, (os.cpu_count() or 1) // shards)
-        return min(self.settings.processes, missing_count, core_budget)
+        return min(self.settings.processes, missing_count, os.cpu_count() or 1)
 
     def run(
         self, pairs: list[tuple[WorkloadSpec, GpuConfig]]
@@ -357,13 +341,10 @@ class SweepRunner:
             # Cached pairs were short-circuited above; only genuinely missing
             # work reaches the pool.
             workers = self._worker_count(len(missing))
-            shards = max(1, self.settings.shards)
             if workers > 1 and len(missing) > 1:
                 with ProcessPoolExecutor(max_workers=workers) as pool:
                     futures = {
-                        pool.submit(
-                            _timed_run_pair, (pair[0], pair[1], shards)
-                        ): index
+                        pool.submit(_timed_run_pair, pair): index
                         for index, pair in missing
                     }
                     for future in as_completed(futures):
@@ -371,9 +352,7 @@ class SweepRunner:
                         _finish(futures[future], record, timing)
             else:
                 for index, pair in missing:
-                    record, timing = _timed_run_pair(
-                        (pair[0], pair[1], shards)
-                    )
+                    record, timing = _timed_run_pair(pair)
                     _finish(index, record, timing)
 
         for index in followers:

@@ -69,8 +69,8 @@ class ScreenDisposition:
     ``simulated_points`` entries are exactly the simulated set.  When the
     roofline model does not cover the run (``fallback`` is set), the screen
     degrades to exhaustive: every point is simulated, nothing is scored,
-    and the reason is recorded — mirroring the sharded engine's recorded
-    fallback to the single-process path.
+    and the reason is recorded so a reader can tell an unpruned sweep
+    from a screen that found nothing to prune.
     """
 
     mode: str

@@ -68,11 +68,9 @@ class ServiceSweepRunner:
         queue orders execution and its single-flight index collapses
         in-grid duplicates onto one simulation.
         """
-        shards = self.thread.config.shards
         futures = [
             self.thread.submit_async(
-                JobRequest(spec=spec, config=config, shards=shards),
-                client=self.client,
+                JobRequest(spec=spec, config=config), client=self.client
             )
             for spec, config in pairs
         ]

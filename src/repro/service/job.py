@@ -48,18 +48,13 @@ class JobRequest:
 
     spec: WorkloadSpec
     config: GpuConfig
-    #: Per-GPM shard engines for the execution (bit-identical results, so
-    #: deliberately outside the cache key — mirrors ``SweepSettings.shards``).
-    shards: int = 1
     #: Ask the service to attach the analytical roofline prediction for this
     #: (workload, config) to the response manifest.  Advisory provenance
-    #: only: like ``shards`` it never changes what is simulated or stored,
-    #: so it stays outside the cache key.
+    #: only: it never changes what is simulated or stored, so it stays
+    #: outside the cache key.
     screen: str | None = None
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ConfigError(f"shards must be >= 1, got {self.shards!r}")
         if self.screen is not None:
             from repro.roofline.screen import SCREEN_MODES
 
@@ -133,7 +128,7 @@ class JobOutcome:
 RECIPE_FIELDS = frozenset(
     {
         "workload", "ctas", "kernels", "full", "gpms", "topology",
-        "bandwidth", "cap_watts", "core_mhz", "shards", "screen",
+        "bandwidth", "cap_watts", "core_mhz", "screen",
         "phases", "tenants",
     }
 )
@@ -267,7 +262,6 @@ def request_from_recipe(recipe: dict) -> JobRequest:
             config = dataclasses.replace(
                 config, power_cap_watts=float(recipe["cap_watts"])
             )
-        shards = int(recipe.get("shards", 1))
         screen = recipe.get("screen")
         if screen is not None:
             screen = str(screen)
@@ -275,7 +269,7 @@ def request_from_recipe(recipe: dict) -> JobRequest:
         # Enum misses and non-numeric knobs surface as ValueError/TypeError;
         # admission speaks ConfigError.
         raise ConfigError(str(error)) from error
-    return JobRequest(spec=spec, config=config, shards=shards, screen=screen)
+    return JobRequest(spec=spec, config=config, screen=screen)
 
 
 def recipe_from_request(request: JobRequest) -> dict | None:
@@ -312,8 +306,6 @@ def recipe_from_request(request: JobRequest) -> dict | None:
         return None  # operating points don't round-trip through core_mhz alone
     if config.compression is not None:
         return None
-    if request.shards != 1:
-        recipe["shards"] = request.shards
     if request.screen is not None:
         recipe["screen"] = request.screen
     reference = request_from_recipe(recipe)

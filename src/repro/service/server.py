@@ -9,8 +9,7 @@
 * A fixed pool of worker coroutines pops jobs in aged-priority order and
   executes them on a thread executor through the existing
   :func:`~repro.gpu.simulator.simulate` path; thread count is clamped
-  ``SweepSettings``-style so ``workers x shards`` never oversubscribes the
-  machine.
+  ``SweepSettings``-style so ``workers`` never oversubscribes the machine.
 * Every decision increments a :class:`~repro.service.metrics.ServiceMetrics`
   counter, so the end-to-end tests (and ``GET /v1/metrics``) can assert
   scheduling behaviour without reaching into internals.
@@ -87,9 +86,7 @@ def execute_request(request: JobRequest) -> tuple[dict, float]:
     metrics = MetricsRegistry()
     from repro.gpu.simulator import simulate
 
-    result = simulate(
-        workload, request.config, metrics=metrics, shards=request.shards
-    )
+    result = simulate(workload, request.config, metrics=metrics)
     record = _record_from_result(request.spec, request.config, result, metrics)
     return record.to_json(), time.perf_counter() - start
 
@@ -101,8 +98,6 @@ class ServiceConfig:
     #: Concurrent job executions (0 = accept/queue but never execute —
     #: useful for scheduling tests).
     workers: int = 2
-    #: Per-GPM shard engines per execution (joins the core-clamp product).
-    shards: int = 1
     #: Queue bounds (see :class:`~repro.service.evict.EvictionPolicy`).
     max_pending: int = 256
     max_age_s: float = 300.0
@@ -124,8 +119,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ConfigError(f"workers must be >= 0, got {self.workers!r}")
-        if self.shards < 1:
-            raise ConfigError(f"shards must be >= 1, got {self.shards!r}")
         if self.evict_interval_s is not None and self.evict_interval_s <= 0:
             raise ConfigError(
                 f"evict_interval_s must be positive, got"
@@ -133,14 +126,11 @@ class ServiceConfig:
             )
 
     def executor_workers(self) -> int:
-        """Executor threads, budgeting cores for shard engines.
+        """Executor threads: never more than the core count.
 
-        Mirrors ``SweepRunner._worker_count``: each execution may fork up
-        to ``shards`` shard workers, so concurrent executions are clamped
-        such that ``workers * shards`` never exceeds the core count.
+        Mirrors ``SweepRunner._worker_count``.
         """
-        core_budget = max(1, (os.cpu_count() or 1) // self.shards)
-        return max(1, min(self.workers, core_budget))
+        return max(1, min(self.workers, os.cpu_count() or 1))
 
 
 #: ServiceError kind -> HTTP status.
@@ -592,7 +582,7 @@ async def _serve_forever(config: ServiceConfig) -> None:
     server = await service.serve()
     print(
         f"repro service listening on http://{service.host}:{service.port}"
-        f" ({config.workers} workers, shards={config.shards},"
+        f" ({config.workers} workers,"
         f" cache={'disk+memory' if config.use_disk_cache else 'memory'})",
         flush=True,
     )

@@ -275,47 +275,35 @@ class TestSerialization:
 
 
 class TestWorkerCount:
-    """Sweep processes are budgeted against forked shard engines."""
+    """Sweep processes never exceed the work or the machine's cores."""
 
-    def _runner(self, tmp_path, processes, shards):
-        return SweepRunner(
-            SweepSettings(cache_dir=tmp_path, processes=processes, shards=shards)
-        )
+    def _runner(self, tmp_path, processes):
+        return SweepRunner(SweepSettings(cache_dir=tmp_path, processes=processes))
 
-    def test_unsharded_sweeps_keep_full_pool(self, tmp_path, monkeypatch):
+    def test_full_pool_when_cores_allow(self, tmp_path, monkeypatch):
         import repro.experiments.runner as runner_mod
 
         monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: 8)
-        runner = self._runner(tmp_path, processes=8, shards=1)
+        runner = self._runner(tmp_path, processes=8)
         assert runner._worker_count(100) == 8
 
-    def test_shards_divide_the_core_budget(self, tmp_path, monkeypatch):
+    def test_cores_clamp_the_pool(self, tmp_path, monkeypatch):
         import repro.experiments.runner as runner_mod
 
-        monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: 8)
-        runner = self._runner(tmp_path, processes=8, shards=4)
-        # workers * shards must not exceed the 8 cores: 8 // 4 = 2 workers.
+        monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: 2)
+        runner = self._runner(tmp_path, processes=8)
         assert runner._worker_count(100) == 2
-
-    def test_oversized_shard_requests_still_leave_one_worker(
-        self, tmp_path, monkeypatch
-    ):
-        import repro.experiments.runner as runner_mod
-
-        monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: 8)
-        runner = self._runner(tmp_path, processes=8, shards=64)
-        assert runner._worker_count(100) == 1
 
     def test_missing_count_still_clamps(self, tmp_path, monkeypatch):
         import repro.experiments.runner as runner_mod
 
         monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: 16)
-        runner = self._runner(tmp_path, processes=8, shards=2)
+        runner = self._runner(tmp_path, processes=8)
         assert runner._worker_count(3) == 3
 
     def test_unknown_cpu_count_defaults_to_one(self, tmp_path, monkeypatch):
         import repro.experiments.runner as runner_mod
 
         monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: None)
-        runner = self._runner(tmp_path, processes=8, shards=2)
+        runner = self._runner(tmp_path, processes=8)
         assert runner._worker_count(100) == 1

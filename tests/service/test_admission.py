@@ -54,9 +54,17 @@ class TestValidateRequest:
 
 
 class TestRecipeValidation:
-    def test_unknown_field_is_rejected(self):
+    @pytest.mark.parametrize(
+        "recipe",
+        [
+            {"workload": "Stream", "gmps": 4},
+            # The retired per-GPM engine count is no longer a recipe field.
+            {"workload": "Stream", "shards": 2},
+        ],
+    )
+    def test_unknown_field_is_rejected(self, recipe):
         with pytest.raises(ConfigError, match="unknown job recipe field"):
-            request_from_recipe({"workload": "Stream", "gmps": 4})
+            request_from_recipe(recipe)
 
     def test_unknown_workload_is_rejected(self):
         with pytest.raises(ConfigError, match="workload must be one of"):
@@ -73,10 +81,6 @@ class TestRecipeValidation:
     def test_non_numeric_knob_is_rejected(self):
         with pytest.raises(ConfigError):
             request_from_recipe({"workload": "Stream", "ctas": "many"})
-
-    def test_zero_shards_is_rejected(self):
-        with pytest.raises(ConfigError, match="shards"):
-            request_from_recipe({"workload": "Stream", "shards": 0})
 
 
 class TestRejectFactories:

@@ -102,7 +102,8 @@ class TestUnifiedErrorHandling:
     @pytest.mark.parametrize(
         ("name", "argv"),
         [
-            ("run", ["run", "Stream", "--ctas", "0"]),
+            # A non-positive kernel count dies in workload validation.
+            ("profile", ["profile", "Stream", "--kernels", "0"]),
             ("trace", ["trace", "Stream", "--ctas", "0"]),
             ("profile", ["profile", "Stream", "--ctas", "0"]),
             ("dvfs", ["dvfs", "Stream", "--ctas", "0"]),
@@ -155,8 +156,8 @@ class TestUnifiedErrorHandling:
                 ["profile", "Stream", "--gpms", "4", "--ctas", "16",
                  "--residual", "-0.1"],
             ),
-            ("capsweep", ["capsweep", "--quick", "--shards", "0"]),
-            ("serve", ["serve", "--shards", "0"]),
+            ("capsweep", ["capsweep", "--quick", "--processes", "0"]),
+            ("serve", ["serve", "--workers", "-1"]),
             ("serve", ["serve", "--aging-seconds", "0"]),
             (
                 "submit",
@@ -198,8 +199,8 @@ class TestUnifiedErrorHandling:
                 ["submit", "Stream", "--phases", "decode:8:1",
                  "--port", "1"],
             ),
-            ("figures", ["figures", "--quick", "--shards", "0"]),
-            ("sweetspot", ["sweetspot", "--shards", "0"]),
+            ("figures", ["figures", "--quick", "--processes", "0"]),
+            ("sweetspot", ["sweetspot", "--processes", "0"]),
         ],
     )
     def test_config_errors_are_one_line_exit_2(self, capsys, name, argv):

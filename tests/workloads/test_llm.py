@@ -1,11 +1,10 @@
-"""LLM workloads: phase schedules, generators, tenants, and shard identity.
+"""LLM workloads: phase schedules, generators, and tenants.
 
 The phase-schedule extension rides on two invariants the rest of the repo
 already depends on: *eager validation* (a malformed schedule raises
 ``ConfigError`` at composition time, never later inside the engine) and
 *flat-spec neutrality* (a spec without ``phases`` behaves byte-for-byte as
-before).  These tests pin both, plus the generators' shapes and a real
-sharded-vs-single differential over a decoupled phased workload.
+before).  These tests pin both, plus the generators' shapes.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ import dataclasses
 import pytest
 
 from repro.errors import ConfigError
-from repro.gpu.config import table_iii_config
-from repro.gpu.simulator import simulate
 from repro.isa.kernel import WorkloadCategory
 from repro.isa.opcodes import Opcode
 from repro.workloads.generator import build_workload
@@ -155,38 +152,3 @@ class TestGenerator:
         with pytest.raises(ConfigError, match="unknown workload"):
             get_spec("LLMNope")
 
-
-class TestShardedIdentity:
-    def test_decoupled_phased_spec_sharded_vs_single(self):
-        """A phased workload with private-page traffic only really shards.
-
-        ``frac_shared = frac_halo = 0`` keeps every page first-touch
-        private, so the sharded engine takes its true parallel path (no
-        coupling fallback) — and must still be bit-identical.
-        """
-        fractions = dict(
-            frac_stream=0.9, frac_reuse=0.1, frac_halo=0.0, frac_shared=0.0
-        )
-        spec = phased_spec(
-            (
-                PhaseSpec(
-                    name="prefill", kernels=2, total_ctas=16,
-                    compute_per_segment=8, accesses_per_segment=1,
-                    compute_mix={Opcode.FFMA32: 1.0}, **fractions,
-                ),
-                PhaseSpec(
-                    name="decode", kernels=2, total_ctas=8,
-                    compute_per_segment=1, accesses_per_segment=4,
-                    compute_mix={Opcode.IMAD32: 1.0}, seed_offset=1,
-                    **fractions,
-                ),
-            ),
-        )
-        config = table_iii_config(4)
-        single = simulate(build_workload(spec), config)
-        sharded = simulate(build_workload(spec), config, shards=2)
-        assert dataclasses.asdict(single.counters) == dataclasses.asdict(
-            sharded.counters
-        )
-        assert sharded.events_processed == single.events_processed
-        assert sharded.kernel_stats == single.kernel_stats
