@@ -48,6 +48,7 @@ from repro.interconnect.ring import RingTopology
 from repro.interconnect.switch import SwitchTopology
 from repro.interconnect.topology import Topology
 from repro.isa.kernel import Workload
+from repro.memory.cache import MAX_HOME_GPMS
 from repro.memory.coherence import SoftwareCoherence
 from repro.memory.pages import PagePlacement
 from repro.sim.engine import AllOf, Engine, Timeout
@@ -77,6 +78,11 @@ class MultiGpu:
         metrics=None,
         governor: Governor | None = None,
     ):
+        if config.num_gpms > MAX_HOME_GPMS:
+            raise ConfigError(
+                f"{config.num_gpms} GPMs exceed the {MAX_HOME_GPMS} homes"
+                " a cache line can record"
+            )
         self.config = config
         self.partitioning = partitioning
         self.engine = Engine(tracer=tracer, metrics=metrics)

@@ -12,15 +12,14 @@ letting congestion emerge from per-link queueing.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.interconnect.link import Link
 from repro.interconnect.traffic import TrafficCounters
 
 
-@dataclass(frozen=True)
-class TransferResult:
+class TransferResult(NamedTuple):
     """Outcome of one inter-GPM transfer reservation."""
 
     completion_time: float
@@ -38,8 +37,13 @@ class Topology(abc.ABC):
             )
         self.num_gpms = num_gpms
         self.traffic = TrafficCounters()
-        # Metric handles, bound lazily on first transfer (links carry the
-        # engine; the topology itself is constructed before it has one).
+        #: ``(src, dst) -> (links, switch_traversals, latency_sum)``, filled
+        #: on first use: routes are static, so each pair is routed once.
+        self._routes: dict[tuple[int, int], tuple[tuple[Link, ...], int, float]] = {}
+        # Engine and metric handles, bound lazily on first transfer (links
+        # carry the engine; the topology itself is constructed before it has
+        # one).
+        self._engine = None
         self._transfer_bytes = None
         self._transfer_cycles = None
 
@@ -51,38 +55,68 @@ class Topology(abc.ABC):
     def links(self) -> list[Link]:
         """Every link in the network (diagnostics and tests)."""
 
-    def transfer(
-        self, src: int, dst: int, nbytes: int, earliest: float | None = None
-    ) -> TransferResult:
-        """Reserve a transfer of ``nbytes`` from GPM ``src`` to GPM ``dst``.
-
-        ``earliest`` bounds when injection may begin (payload availability).
-        Returns the completion time; the caller's process sleeps until then.
-        """
+    def _memoize_route(
+        self, src: int, dst: int
+    ) -> tuple[tuple[Link, ...], int, float]:
         self._check_endpoints(src, dst)
         links, switch_traversals = self.route(src, dst)
         if not links:
             raise ConfigError(f"route {src}->{dst} has no links")
-        finish = 0.0
         latency = 0.0
         for link in links:
-            done = link.reserve(nbytes, earliest=earliest)
-            if done > finish:
-                finish = done
             latency += link.config.latency_cycles
-        hops = len(links)
-        self.traffic.record(nbytes, hops, switch_traversals)
-        completion = finish + latency
-
-        engine = links[0].server.engine
-        if self._transfer_bytes is None:
+        if self._engine is None:
+            engine = self._engine = links[0].server.engine
             self._transfer_bytes = engine.metrics.histogram(
                 "interconnect.transfer_bytes", 32.0
             )
             self._transfer_cycles = engine.metrics.accumulator(
                 "interconnect.transfer_cycles"
             )
+        route = self._routes[(src, dst)] = (tuple(links), switch_traversals, latency)
+        return route
+
+    def transfer(
+        self, src: int, dst: int, nbytes: int, earliest: float | None = None
+    ) -> TransferResult:
+        """Reserve a transfer of ``nbytes`` from GPM ``src`` to GPM ``dst``.
+
+        ``earliest`` bounds when injection may begin (payload availability).
+        Returns the :class:`TransferResult`: the completion time the caller
+        sleeps until, plus the route's hop and switch-traversal counts.
+        """
+        route = self._routes.get((src, dst))
+        if route is None:
+            route = self._memoize_route(src, dst)
+        links, switch_traversals, latency = route
+        if nbytes < 0:
+            raise SimulationError(
+                f"negative reservation on {links[0].server.name!r}: {nbytes!r}"
+            )
+        engine = self._engine
         injected = engine.now if earliest is None else earliest
+        # Per-hop FCFS serialization, inlined from Link.reserve and
+        # BandwidthServer.reserve (same operations, same order).
+        finish = 0.0
+        for link in links:
+            link.bytes_transferred += nbytes
+            link.transfers += 1
+            server = link.server
+            start = server.free_at
+            if injected > start:
+                start = injected
+            service = nbytes / server.rate
+            done = start + service
+            server.free_at = done
+            server.busy_time += service
+            server.units_served += nbytes
+            server.requests += 1
+            if done > finish:
+                finish = done
+        hops = len(links)
+        self.traffic.record(nbytes, hops, switch_traversals)
+        completion = finish + latency
+
         self._transfer_bytes.add(nbytes)
         self._transfer_cycles.add(max(0.0, completion - injected))
         tracer = engine.tracer
@@ -98,11 +132,7 @@ class Topology(abc.ABC):
                     "switch_traversals": switch_traversals,
                 },
             )
-        return TransferResult(
-            completion_time=completion,
-            hops=hops,
-            switch_traversals=switch_traversals,
-        )
+        return TransferResult(completion, hops, switch_traversals)
 
     def _check_endpoints(self, src: int, dst: int) -> None:
         if not 0 <= src < self.num_gpms or not 0 <= dst < self.num_gpms:

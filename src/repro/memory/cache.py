@@ -15,14 +15,13 @@ bulk-invalidate remote lines at kernel boundaries (software coherence).
 Two implementations share the exact same contract:
 
 * :class:`Cache` — the production tag store on the simulator hot path.  Each
-  way is a plain 3-slot list cell ``[tag, dirty, home]`` ordered MRU-first,
-  sets are created lazily on first touch, and the eviction path *reuses* the
-  victim's cell for the incoming line instead of allocating.  This layout was
-  chosen by microbenchmark: the simulated workloads are miss-dominated
-  (streaming traffic misses nearly every L1 probe), and cell reuse plus
-  allocation-free probes beat both the original per-line objects and a flat
-  numpy tag/LRU array layout, whose per-access scalar indexing costs more
-  than the Python list walk it replaces (see docs/PERFORMANCE.md).
+  way is one int, ``(tag << (HOME_BITS + 1)) | (home << 1) | dirty``, held in
+  a per-set MRU-first list of ints; sets are created lazily on first touch.  A
+  resident line is therefore an untracked int inside one list per set, not
+  a container of its own: the cyclic garbage collector walks one object per
+  touched set instead of one per line, and a hit or a fill allocates at
+  most one int.  The home field is :data:`HOME_BITS` wide (see
+  docs/PERFORMANCE.md, "Memory path and the garbage collector").
 * :class:`ReferenceCache` — the original per-line-object implementation,
   kept verbatim as the executable specification.  The property suite in
   ``tests/differential/test_cache_equivalence.py`` replays random access
@@ -110,9 +109,14 @@ class CacheStats:
         self.invalidations += other.invalidations
 
 
-# Cell layout of the production tag store: each way is a plain list
-# [tag, dirty, home], MRU-first within its set.
-_TAG, _DIRTY, _HOME = 0, 1, 2
+#: Width of the home-GPM field of a packed way.  A :class:`Cache` records
+#: homes ``0 .. MAX_HOME_GPMS - 1``; ``MultiGpu`` rejects larger GPM counts
+#: once, at construction, so the per-access path never checks.
+HOME_BITS = 8
+MAX_HOME_GPMS = 1 << HOME_BITS
+_HOME_MASK = MAX_HOME_GPMS - 1
+# A packed way is (tag << _TAG_SHIFT) | (home << 1) | dirty.
+_TAG_SHIFT = HOME_BITS + 1
 
 
 class Cache:
@@ -124,7 +128,7 @@ class Cache:
         "_line_shift",
         "_num_sets",
         "_associativity",
-        "_write_back",
+        "_store_dirty",
         "_write_allocate",
         "_sets",
     )
@@ -135,16 +139,13 @@ class Cache:
         self._line_shift = config.line_bytes.bit_length() - 1
         self._num_sets = config.num_sets
         self._associativity = config.associativity
-        self._write_back = config.write_back
+        # The dirty bit a store leaves on its line: set only by write-back.
+        self._store_dirty = 1 if config.write_back else 0
         self._write_allocate = config.write_allocate
         # Sets are created lazily: large caches in large GPM counts touch a
         # small fraction of their sets in a short kernel, and a [None] * n
         # backbone is much cheaper to build than n empty lists.
-        self._sets: list[list[list] | None] = [None] * self._num_sets
-
-    def _locate(self, address: int) -> tuple[int, int]:
-        line_addr = address >> self._line_shift
-        return line_addr % self._num_sets, line_addr
+        self._sets: list[list[int] | None] = [None] * self._num_sets
 
     def probe(self, address: int) -> bool:
         """Non-mutating presence check (no LRU update, no stats)."""
@@ -152,8 +153,8 @@ class Cache:
         ways = self._sets[tag % self._num_sets]
         if not ways:
             return False
-        for cell in ways:
-            if cell[_TAG] == tag:
+        for way in ways:
+            if way >> _TAG_SHIFT == tag:
                 return True
         return False
 
@@ -165,7 +166,8 @@ class Cache:
         Args:
             address: byte address.
             is_store: store accesses follow the configured write policy.
-            home: home GPM of the page backing this address (for coherence).
+            home: home GPM of the page backing this address (for coherence),
+                below :data:`MAX_HOME_GPMS`.
 
         Returns:
             ``(hit, dirty_eviction)`` — ``dirty_eviction`` is True when the
@@ -178,17 +180,18 @@ class Cache:
         stats = self.stats
         if ways:
             position = 0
-            for cell in ways:
-                if cell[_TAG] == tag:
-                    if position:
-                        del ways[position]
-                        ways.insert(0, cell)
+            for way in ways:
+                if way >> _TAG_SHIFT == tag:
                     if is_store:
                         stats.write_hits += 1
-                        if self._write_back:
-                            cell[_DIRTY] = True
+                        way |= self._store_dirty
                     else:
                         stats.read_hits += 1
+                    if position:
+                        del ways[position]
+                        ways.insert(0, way)
+                    elif is_store:
+                        ways[0] = way
                     return True, False
                 position += 1
         elif ways is None:
@@ -199,25 +202,20 @@ class Cache:
             stats.write_misses += 1
             if not self._write_allocate:
                 return False, False
+            way = (tag << _TAG_SHIFT) | (home << 1) | self._store_dirty
         else:
             stats.read_misses += 1
+            way = (tag << _TAG_SHIFT) | (home << 1)
 
         if len(ways) >= self._associativity:
-            cell = ways.pop()
+            victim = ways.pop()
             stats.evictions += 1
-            dirty_evicted = cell[_DIRTY]
-            if dirty_evicted:
+            ways.insert(0, way)
+            if victim & 1:
                 stats.dirty_evictions += 1
-            # Reuse the victim's cell for the incoming line: the eviction
-            # path runs once per miss in a full set — the steady state of a
-            # streaming workload — and skipping the allocation is the bulk
-            # of this implementation's win over per-line objects.
-            cell[_TAG] = tag
-            cell[_DIRTY] = is_store and self._write_back
-            cell[_HOME] = home
-            ways.insert(0, cell)
-            return False, dirty_evicted
-        ways.insert(0, [tag, is_store and self._write_back, home])
+                return False, True
+            return False, False
+        ways.insert(0, way)
         return False, False
 
     def invalidate_where(self, predicate) -> int:
@@ -233,7 +231,9 @@ class Cache:
         for ways in self._sets:
             if not ways:
                 continue
-            keep = [cell for cell in ways if not predicate(cell[_HOME])]
+            keep = [
+                way for way in ways if not predicate((way >> 1) & _HOME_MASK)
+            ]
             invalidated += len(ways) - len(keep)
             ways[:] = keep
         self.stats.invalidations += invalidated

@@ -22,13 +22,17 @@ order and the warp sleeps once, on the final completion time.  Remote paths
 must NOT be priced that way: reserving a home-DRAM channel or a return link at
 a far-future ``earliest`` would push the server's horizon past idle time it
 could have served others in (a non-work-conserving queue that melts down under
-NUMA traffic).  Remote accesses therefore run as small multi-stage processes
-that reserve each resource when the payload actually arrives at it.
+NUMA traffic).  Remote accesses therefore run as short callback chains on
+:meth:`~repro.sim.engine.Engine.call_at` — one slotted object per remote leg
+(:class:`_RemoteLoad`, :class:`_RemoteStore`), one callback per stage — that
+reserve each resource when the payload actually arrives at it.  Each stage
+is queued exactly where a generator process yielding ``wait_until`` would
+resume, so events dispatch in the same order as such a process would, at
+the cost of neither a generator nor a process object per leg.
 """
 
 from __future__ import annotations
 
-from collections.abc import Generator
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
@@ -125,9 +129,6 @@ class GpmMemory:
 
     # ------------------------------------------------------------------ helpers
 
-    def _line_address(self, address: int) -> int:
-        return address & ~(CACHE_LINE_BYTES - 1)
-
     def _lines_touched(self, access: MemAccess) -> range:
         first = access.address // CACHE_LINE_BYTES
         last = (access.address + access.size - 1) // CACHE_LINE_BYTES
@@ -141,8 +142,8 @@ class GpmMemory:
         """Perform one warp-level access.
 
         Returns ``(completion_time, pending_events)``: the analytic completion
-        bound for local stages plus done-events of any remote-path processes
-        the access spawned (an immutable, possibly shared, empty container
+        bound for local stages plus done-events of any remote loads the
+        access started (an immutable, possibly shared, empty container
         when there are none — callers must not mutate it).  Stores complete
         when their data leaves the SM (the warp does not wait for downstream
         drain); loads complete on data arrival.
@@ -223,60 +224,7 @@ class GpmMemory:
             counters.dram_l2_txns += SECTORS_PER_LINE
             return self.dram.read(CACHE_LINE_BYTES, after_l2)
 
-        process = self.engine.process(
-            self._remote_load_body(line_address, home, after_l2),
-            name=f"gpm{self.gpm_id}.rload",
-        )
-        return process.done
-
-    def _remote_load_body(
-        self, line_address: int, home: int, start: float
-    ) -> Generator:
-        """Multi-stage remote load: request out, home access, data back.
-
-        Each resource is reserved when the message actually reaches it, so
-        links and the home DRAM stay work-conserving under NUMA load.
-        """
-        counters = self.counters
-        engine = self.engine
-        topology = self._require_topology()
-        yield engine.wait_until(start)
-
-        request = topology.transfer(self.gpm_id, home, REQUEST_HEADER_BYTES)
-        counters.inter_gpm_bytes += REQUEST_HEADER_BYTES
-        counters.inter_gpm_byte_hops += REQUEST_HEADER_BYTES * request.hops
-        counters.switch_byte_traversals += (
-            REQUEST_HEADER_BYTES * request.switch_traversals
-        )
-        yield engine.wait_until(request.completion_time)
-
-        peer = self.peers[home]
-        if peer.l2.probe(line_address):
-            # Served out of the home GPM's module L2 (probe only: no fill,
-            # no LRU churn from remote readers).  The transaction happens on
-            # the home module's hardware, so it lands in the home shard.
-            peer.counters.l2_l1_txns += SECTORS_PER_LINE
-            data_ready = engine.now + peer.latencies.l2
-        else:
-            peer.counters.dram_l2_txns += SECTORS_PER_LINE
-            data_ready = peer.dram.read(CACHE_LINE_BYTES)
-        yield engine.wait_until(data_ready)
-
-        response = topology.transfer(home, self.gpm_id, CACHE_LINE_BYTES)
-        counters.inter_gpm_bytes += CACHE_LINE_BYTES
-        counters.inter_gpm_byte_hops += CACHE_LINE_BYTES * response.hops
-        counters.switch_byte_traversals += (
-            CACHE_LINE_BYTES * response.switch_traversals
-        )
-        yield engine.wait_until(response.completion_time)
-        self._remote_load_cycles.add(engine.now - start)
-        if self._trace:
-            self._tracer.complete(
-                self._track,
-                f"remote_load->g{home}",
-                start,
-                engine.now - start,
-            )
+        return _RemoteLoad(self, line_address, home, after_l2).done
 
     # ------------------------------------------------------------------ stores
 
@@ -291,38 +239,10 @@ class GpmMemory:
             return left_sm
         # Remote store: bypass local L2, stream payload to the home DRAM.
         # (Guarantees remote-homed lines are never dirty in any module L2.)
-        # Fire-and-forget: the warp does not wait, but the drain process
-        # reserves each resource at actual arrival time.
-        self.engine.process(
-            self._remote_store_body(home, left_sm),
-            name=f"gpm{self.gpm_id}.rstore",
-        )
+        # Fire-and-forget: the warp does not wait, but the drain reserves
+        # each resource at actual arrival time.
+        _RemoteStore(self, home, left_sm)
         return left_sm
-
-    def _remote_store_body(self, home: int, start: float) -> Generator:
-        """Multi-stage remote store drain: payload out, home DRAM write."""
-        counters = self.counters
-        engine = self.engine
-        topology = self._require_topology()
-        yield engine.wait_until(start)
-        transfer = topology.transfer(self.gpm_id, home, CACHE_LINE_BYTES)
-        counters.inter_gpm_bytes += CACHE_LINE_BYTES
-        counters.inter_gpm_byte_hops += CACHE_LINE_BYTES * transfer.hops
-        counters.switch_byte_traversals += (
-            CACHE_LINE_BYTES * transfer.switch_traversals
-        )
-        yield engine.wait_until(transfer.completion_time)
-        # The drain writes the home module's DRAM: home shard, as above.
-        self.peers[home].counters.dram_l2_txns += SECTORS_PER_LINE
-        self.peers[home].dram.write(CACHE_LINE_BYTES)
-        self._remote_store_cycles.add(engine.now - start)
-        if self._trace:
-            self._tracer.complete(
-                self._track,
-                f"remote_store->g{home}",
-                start,
-                engine.now - start,
-            )
 
     def _writeback_local(self, earliest: float) -> None:
         """Drain one dirty local line to local DRAM (fire-and-forget)."""
@@ -344,3 +264,128 @@ class GpmMemory:
         """Late wiring of the interconnect and peer GPM memories."""
         self.topology = topology
         self.peers = peers
+
+
+class _RemoteLoad:
+    """One remote load leg: request out, home L2 or DRAM, data back.
+
+    Each stage is one engine callback; :attr:`done` succeeds when the data
+    reaches the requester.  Resources are reserved as the message reaches
+    them, so links and the home DRAM stay work-conserving under NUMA load.
+    """
+
+    __slots__ = ("memory", "line_address", "home", "start", "done")
+
+    def __init__(
+        self, memory: GpmMemory, line_address: int, home: int, start: float
+    ):
+        self.memory = memory
+        self.line_address = line_address
+        self.home = home
+        self.start = start
+        engine = memory.engine
+        self.done = Event(engine)
+        engine.schedule(0.0, self._spawn)
+
+    def _spawn(self, _value: None) -> None:
+        memory = self.memory
+        memory._require_topology()
+        memory.engine.call_at(self.start, self._request)
+
+    def _request(self, _value: None) -> None:
+        memory = self.memory
+        request = memory.topology.transfer(
+            memory.gpm_id, self.home, REQUEST_HEADER_BYTES
+        )
+        counters = memory.counters
+        counters.inter_gpm_bytes += REQUEST_HEADER_BYTES
+        counters.inter_gpm_byte_hops += REQUEST_HEADER_BYTES * request.hops
+        counters.switch_byte_traversals += (
+            REQUEST_HEADER_BYTES * request.switch_traversals
+        )
+        memory.engine.call_at(request.completion_time, self._serve)
+
+    def _serve(self, _value: None) -> None:
+        engine = self.memory.engine
+        peer = self.memory.peers[self.home]
+        if peer.l2.probe(self.line_address):
+            # Served out of the home GPM's module L2 (probe only: no fill,
+            # no LRU churn from remote readers).  The transaction happens on
+            # the home module's hardware, so it lands in the home shard.
+            peer.counters.l2_l1_txns += SECTORS_PER_LINE
+            data_ready = engine.now + peer.latencies.l2
+        else:
+            peer.counters.dram_l2_txns += SECTORS_PER_LINE
+            data_ready = peer.dram.read(CACHE_LINE_BYTES)
+        engine.call_at(data_ready, self._respond)
+
+    def _respond(self, _value: None) -> None:
+        memory = self.memory
+        response = memory.topology.transfer(
+            self.home, memory.gpm_id, CACHE_LINE_BYTES
+        )
+        counters = memory.counters
+        counters.inter_gpm_bytes += CACHE_LINE_BYTES
+        counters.inter_gpm_byte_hops += CACHE_LINE_BYTES * response.hops
+        counters.switch_byte_traversals += (
+            CACHE_LINE_BYTES * response.switch_traversals
+        )
+        memory.engine.call_at(response.completion_time, self._finish)
+
+    def _finish(self, _value: None) -> None:
+        memory = self.memory
+        start = self.start
+        elapsed = memory.engine.now - start
+        memory._remote_load_cycles.add(elapsed)
+        if memory._trace:
+            memory._tracer.complete(
+                memory._track, f"remote_load->g{self.home}", start, elapsed
+            )
+        self.done.succeed(None)
+
+
+class _RemoteStore:
+    """One remote store drain: payload out, home DRAM write.
+
+    Nothing waits on a store drain, so it carries no done-event.
+    """
+
+    __slots__ = ("memory", "home", "start")
+
+    def __init__(self, memory: GpmMemory, home: int, start: float):
+        self.memory = memory
+        self.home = home
+        self.start = start
+        memory.engine.schedule(0.0, self._spawn)
+
+    def _spawn(self, _value: None) -> None:
+        memory = self.memory
+        memory._require_topology()
+        memory.engine.call_at(self.start, self._send)
+
+    def _send(self, _value: None) -> None:
+        memory = self.memory
+        transfer = memory.topology.transfer(
+            memory.gpm_id, self.home, CACHE_LINE_BYTES
+        )
+        counters = memory.counters
+        counters.inter_gpm_bytes += CACHE_LINE_BYTES
+        counters.inter_gpm_byte_hops += CACHE_LINE_BYTES * transfer.hops
+        counters.switch_byte_traversals += (
+            CACHE_LINE_BYTES * transfer.switch_traversals
+        )
+        memory.engine.call_at(transfer.completion_time, self._write)
+
+    def _write(self, _value: None) -> None:
+        memory = self.memory
+        # The drain writes the home module's DRAM: home shard.
+        peer = memory.peers[self.home]
+        peer.counters.dram_l2_txns += SECTORS_PER_LINE
+        peer.dram.write(CACHE_LINE_BYTES)
+        start = self.start
+        elapsed = memory.engine.now - start
+        memory._remote_store_cycles.add(elapsed)
+        if memory._trace:
+            memory._tracer.complete(
+                memory._track, f"remote_store->g{self.home}", start, elapsed
+            )

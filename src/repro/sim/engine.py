@@ -15,7 +15,10 @@ resumed when the command completes:
     Resume when every listed event has succeeded.
 
 Resources (see :mod:`repro.sim.resources`) return absolute completion times;
-processes convert those into timeouts via :meth:`Engine.wait_until`.
+processes convert those into timeouts via :meth:`Engine.wait_until`.  Short
+fixed-stage flows that need no coroutine state use :meth:`Engine.call_at`
+instead: it queues a plain callback exactly where ``wait_until`` would queue
+the process's resumption, without a generator or a done-event per flow.
 
 The design trades generality for speed: there is no process interruption, no
 event cancellation, and no priority levels — none of which the GPU model
@@ -272,6 +275,27 @@ class Engine:
                 f"wait_until target {when!r} is before current time {self.now!r}"
             )
         return Timeout(max(0.0, when - self.now))
+
+    def call_at(self, when: float, callback: Any) -> None:
+        """Run ``callback(None)`` at absolute time ``when`` (>= now).
+
+        Makes exactly the queue entry a process yielding
+        ``wait_until(when)`` makes: the now queue when the delay is not
+        positive, else a heap entry at ``now + (when - now)`` — the same
+        float, the same sequence number — so a callback chain dispatches in
+        the order the equivalent generator process would resume.
+        """
+        now = self.now
+        if when < now - 1e-9:
+            raise SimulationError(
+                f"call_at target {when!r} is before current time {now!r}"
+            )
+        delay = when - now
+        if delay > 0.0:
+            heapq.heappush(self._heap, (now + delay, self._seq, callback, None))
+            self._seq += 1
+        else:
+            self._nowq.append((callback, None))
 
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
         """Drain the now queue and the event heap.

@@ -138,7 +138,7 @@ class TestRemoteAccess:
         gpm1.connect(topology, [gpm0, gpm1])
         return gpm0, gpm1, counters, placement
 
-    def test_remote_load_runs_as_process(self, engine):
+    def test_remote_load_returns_a_pending_event(self, engine):
         gpm0, gpm1, counters, placement = self._pair(engine)
         placement.home(0x100000, toucher_gpm=1)  # page homed remotely
         t, events = gpm0.access(0, MemAccess(address=0x100000, size=128), 0.0)

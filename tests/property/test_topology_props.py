@@ -93,3 +93,55 @@ class TestRoutingInvariants:
         assert topology.traffic.bytes_injected == nbytes
         assert topology.traffic.byte_hops == nbytes * result.hops
         assert result.completion_time > 0
+
+
+def _reference_transfer(topology, src, dst, nbytes, earliest):
+    """Per-hop ``Link.reserve`` on a freshly computed route: the transfer
+    algorithm the memoized, inlined ``Topology.transfer`` must reproduce."""
+    links, switch_traversals = topology.route(src, dst)
+    finish = 0.0
+    latency = 0.0
+    for link in links:
+        done = link.reserve(nbytes, earliest=earliest)
+        if done > finish:
+            finish = done
+        latency += link.config.latency_cycles
+    return finish + latency, len(links), switch_traversals
+
+
+def _link_state(topology):
+    return [
+        (
+            link.bytes_transferred, link.transfers, link.server.free_at,
+            link.server.busy_time, link.server.units_served,
+            link.server.requests,
+        )
+        for link in topology.links()
+    ]
+
+
+_transfer_streams = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=31),
+        st.integers(min_value=1, max_value=31),
+        st.sampled_from([32, 128, 4096]),
+        st.one_of(st.none(), st.floats(min_value=0.0, max_value=500.0)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestTransferMatchesPerLinkReservation:
+    @given(st.sampled_from(["ring", "mesh", "switch"]), gpm_counts, _transfer_streams)
+    @settings(max_examples=100, deadline=None)
+    def test_memoized_transfer_matches_reference(self, kind, n, stream):
+        fast = build(kind, n)
+        oracle = build(kind, n)
+        for src, offset, nbytes, earliest in stream:
+            src %= n
+            dst = (src + offset % (n - 1) + 1) % n
+            got = fast.transfer(src, dst, nbytes, earliest=earliest)
+            want = _reference_transfer(oracle, src, dst, nbytes, earliest)
+            assert tuple(got) == want
+        assert _link_state(fast) == _link_state(oracle)

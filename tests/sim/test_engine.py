@@ -332,6 +332,118 @@ class TestDispatchOrdering:
         assert program() == program()
 
 
+def _mirror_run(use_call_at: bool, targets: list[float]):
+    """One flow resuming at each of ``targets`` among same-time work.
+
+    The flow is either a generator process yielding ``wait_until`` or a
+    callback chain on ``call_at`` spawned through the now queue; at each
+    resume it queues a now-queue entry and a heap entry, and heap entries
+    at every target time are queued before and after the flow starts.
+    Returns the dispatch order and the event count.
+    """
+    engine = Engine()
+    order = []
+
+    def note(tag):
+        return lambda _v: order.append((tag, engine.now))
+
+    for when in targets:
+        engine.schedule(when, note("heap-before"))
+
+    def resumed():
+        order.append(("flow", engine.now))
+        engine.schedule(0.0, note("nowq"))
+        engine.schedule(1.0, note("heap-after-resume"))
+
+    if use_call_at:
+        pending = iter(targets)
+
+        def advance(_v):
+            when = next(pending, None)
+            if when is not None:
+                engine.call_at(when, step)
+
+        def step(_v):
+            resumed()
+            advance(None)
+
+        engine.schedule(0.0, advance)
+    else:
+
+        def body():
+            for when in targets:
+                yield engine.wait_until(when)
+                resumed()
+
+        engine.process(body())
+    for when in targets:
+        engine.schedule(when, note("heap-after-spawn"))
+    engine.run()
+    return order, engine.events_processed
+
+
+class TestCallAt:
+    # 0.7 -> 2.9 resumes at 0.7 + (2.9 - 0.7) == 2.9000000000000004, not at
+    # 2.9, so the following 2.9 is a target a hair in the past, as is
+    # 3.0 - 5e-10 after 3.0 (both within the 1e-9 tolerance: zero delay).
+    # Repeated times and the flow's own follow-up heap entries (4.5 + 1.0)
+    # collide with the flow's resumptions.
+    TARGETS = [0.7, 2.9, 2.9, 3.0, 3.0 - 5e-10, 3.0, 4.5, 5.5]
+
+    def test_dispatch_order_matches_a_wait_until_process(self):
+        via_process = _mirror_run(False, self.TARGETS)
+        via_call_at = _mirror_run(True, self.TARGETS)
+        assert via_call_at == via_process
+        order, _events = via_call_at
+        assert [tag for tag, _ in order].count("flow") == len(self.TARGETS)
+
+    def test_same_time_heap_entries_run_in_sequence_order(self):
+        engine = Engine()
+        order = []
+        engine.schedule(4.0, lambda _v: order.append("scheduled-first"))
+        engine.call_at(4.0, lambda _v: order.append("call_at"))
+        engine.schedule(4.0, lambda _v: order.append("scheduled-last"))
+        engine.run()
+        assert order == ["scheduled-first", "call_at", "scheduled-last"]
+
+    @pytest.mark.parametrize("behind", [0.0, 1e-10, 1e-9])
+    def test_non_positive_delay_goes_to_the_now_queue(self, behind):
+        # Issued from the first of two heap entries at t=5: a now-queue
+        # entry runs after the second one, at t=5, and never moves the
+        # clock backwards.
+        engine = Engine()
+        order = []
+
+        def first(_v):
+            order.append("heap-0")
+            engine.call_at(engine.now - behind, lambda _v: order.append(
+                ("call_at", engine.now)
+            ))
+
+        engine.schedule(5.0, first)
+        engine.schedule(5.0, lambda _v: order.append("heap-1"))
+        engine.run()
+        assert order == ["heap-0", "heap-1", ("call_at", 5.0)]
+        assert engine.now == 5.0
+
+    def test_target_further_in_the_past_rejected(self):
+        engine = Engine()
+        errors = []
+
+        def late(_v):
+            try:
+                engine.call_at(engine.now - 1e-6, lambda _v: None)
+            except SimulationError as error:
+                errors.append(error)
+
+        engine.schedule(5.0, late)
+        engine.run()
+        assert len(errors) == 1
+        assert engine.events_processed == 1
+        with pytest.raises(SimulationError):
+            Engine().call_at(-1.0, lambda _v: None)
+
+
 class TestRunBoundaries:
     def test_until_exactly_at_event_time_fires_the_event(self):
         engine = Engine()

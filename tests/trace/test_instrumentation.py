@@ -9,9 +9,11 @@ workload structure implies.
 import pytest
 
 from repro.gpu.simulator import simulate
+from repro.memory.hierarchy import REQUEST_HEADER_BYTES
 from repro.tools.regen_goldens import GOLDEN_CONFIGS, GOLDEN_SPECS
 from repro.tools.validate_trace import validate_trace
 from repro.trace import ChromeTracer, MetricsRegistry
+from repro.units import CACHE_LINE_BYTES
 from repro.workloads.generator import build_workload
 
 SPEC = GOLDEN_SPECS["shared-micro"]
@@ -67,6 +69,52 @@ class TestTraceCoverage:
         tracer, _, result = traced_run
         for event in tracer.events():
             assert 0.0 <= event["ts"] <= result.cycles + 1e-9
+
+
+class TestRemoteLegSpans:
+    """Remote legs run as engine callbacks, not processes; their memory-track
+    spans must survive the change one-for-one."""
+
+    @staticmethod
+    def _complete_spans(tracer, predicate):
+        track_of = {tid: track for track, tid in tracer._tids.items()}
+        return [
+            (track_of[e["tid"]], e) for e in tracer.events()
+            if e["ph"] == "X" and predicate(track_of[e["tid"]])
+        ]
+
+    def test_one_memory_span_per_remote_leg(self, traced_run):
+        tracer, metrics, _ = traced_run
+        legs = {"remote_load": [], "remote_store": []}
+        for track, event in self._complete_spans(
+            tracer, lambda track: track.endswith(".mem")
+        ):
+            kind, _, home = event["name"].partition("->g")
+            legs[kind].append(event)
+            # Spans live on the requester's track and name a remote home.
+            assert track != f"gpm{home}.mem"
+        wire = self._complete_spans(tracer, lambda track: track == "interconnect")
+        headers = sum(1 for _, e in wire if e["args"]["bytes"] == REQUEST_HEADER_BYTES)
+        lines = sum(1 for _, e in wire if e["args"]["bytes"] == CACHE_LINE_BYTES)
+        # A load sends one header and gets one line back; a store sends a line.
+        assert len(legs["remote_load"]) == headers > 0
+        assert len(legs["remote_store"]) == lines - headers > 0
+        assert len(legs["remote_load"]) == metrics.accumulator(
+            "memory.remote_load_cycles"
+        ).count
+        assert len(legs["remote_store"]) == metrics.accumulator(
+            "memory.remote_store_cycles"
+        ).count
+
+    def test_remote_legs_leave_no_engine_process_spans(self, traced_run):
+        tracer, _, _ = traced_run
+        names = {
+            event["name"] for _, event in self._complete_spans(
+                tracer, lambda track: track == "engine"
+            )
+        }
+        assert not any(name.endswith((".rload", ".rstore")) for name in names)
+        assert validate_trace(tracer.export()) == []
 
 
 class TestMetricsCoverage:
