@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-smoke perf-smoke perf-baseline differential reproduce figures figures-smoke examples trace-smoke service-smoke roofline-smoke idle-smoke clean-cache loc
+.PHONY: install test bench bench-smoke perf-smoke perf-baseline differential reproduce figures figures-smoke examples trace-smoke roofline-smoke idle-smoke clean-cache loc
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -61,12 +61,6 @@ figures-smoke:
 trace-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro trace Stream --ctas 32 --gpms 4 --out .cache/trace-smoke.json
 	PYTHONPATH=src $(PYTHON) -m repro.tools.validate_trace .cache/trace-smoke.json
-
-# Sweep-service end-to-end check: spin up a 2-worker service, assert the
-# miss -> hit -> rejected-infeasible-cap loop and its exact metric counters
-# (see docs/SERVICE.md).
-service-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.tools.service_smoke
 
 # Roofline fast-path check: the committed error-bound manifest must hold
 # against a fresh golden re-simulation, the screened-sweep contract tests

@@ -35,13 +35,10 @@ Two observability subcommands sit beside the experiments (see
   1–32 GPM sweep, or ``--quick`` for a single small case) and write
   ``BENCH_sim.json``; ``--check`` compares against a committed baseline
   (see ``docs/PERFORMANCE.md``).
-* ``repro serve`` / ``repro submit`` — run the sweep-as-a-service job queue
-  (admission control, priority lanes, single-flight dedup, content-addressed
-  result store) and submit jobs to it (see ``docs/SERVICE.md``).
 
 Every subcommand maps configuration errors (bad DVFS grids, infeasible
-power caps, malformed recipes) to a single ``repro <cmd>: <message>`` line
-on stderr and exit code 2.
+power caps, non-positive CTA or kernel counts) to a single
+``repro <cmd>: <message>`` line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -119,9 +116,7 @@ def _observed_pair(parser: argparse.ArgumentParser, args: argparse.Namespace):
     return spec, build_workload(spec), config
 
 
-def _add_observe_arguments(
-    parser: argparse.ArgumentParser, workload_optional: bool = False
-) -> None:
+def _add_observe_arguments(parser: argparse.ArgumentParser) -> None:
     from repro.gpu.config import TABLE_III_GPM_COUNTS
     from repro.workloads.suite import all_specs
 
@@ -130,9 +125,6 @@ def _add_observe_arguments(
         "workload",
         choices=choices,
         metavar="workload",
-        # `submit --phases` composes the workload from a phase schedule
-        # instead of naming one.
-        **({"nargs": "?", "default": None} if workload_optional else {}),
         help=(
             "Table II or LLM-serving workload abbreviation"
             f" ({', '.join(choices)})"
@@ -465,8 +457,7 @@ def _dvfs_main(argv: list[str]) -> int:
     if args.cap_watts is not None:
         # Reject an unsatisfiable budget up front (one-line error via the
         # subcommand guard) instead of tracebacking after the (expensive)
-        # ladder sweep.  Same feasibility check the sweep service runs at
-        # admission (repro.service.admission.validate_request).
+        # ladder sweep.
         from repro.dvfs.governor import PowerCapGovernor
 
         curve = config.dvfs.curve if config.dvfs is not None else K40_VF_CURVE
@@ -955,233 +946,6 @@ def _figures_main(argv: list[str]) -> int:
     return 0
 
 
-def _serve_main(argv: list[str]) -> int:
-    """``repro serve``: run the sweep service in the foreground."""
-    from pathlib import Path
-
-    from repro.service.server import ServiceConfig, run_service
-
-    parser = argparse.ArgumentParser(
-        prog="repro serve",
-        description=(
-            "Run the sweep-as-a-service job queue: admission-validated"
-            " submissions, size-classed priority lanes with aging,"
-            " single-flight dedup, and a content-addressed result store"
-            " shared with the sweep cache (see docs/SERVICE.md)."
-        ),
-    )
-    parser.add_argument("--host", default="127.0.0.1", help="bind address")
-    parser.add_argument(
-        "--port", type=int, default=8787, help="bind port (0 = ephemeral)"
-    )
-    parser.add_argument(
-        "--workers", type=int, default=2, help="concurrent job executions"
-    )
-    parser.add_argument(
-        "--max-pending", type=int, default=256, help="queue depth bound"
-    )
-    parser.add_argument(
-        "--max-age-s", type=float, default=300.0,
-        help="evict jobs pending longer than this (seconds)",
-    )
-    parser.add_argument(
-        "--rate-per-s", type=float, default=None,
-        help="per-client submission rate limit (default: unlimited)",
-    )
-    parser.add_argument(
-        "--aging-seconds", type=float, default=30.0,
-        help="priority aging interval (one lane class per this many seconds)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help="result store directory (default: the shared sweep cache)",
-    )
-    parser.add_argument(
-        "--no-disk-cache", action="store_true",
-        help="keep results in memory only",
-    )
-    args = parser.parse_args(argv)
-    return run_service(
-        ServiceConfig(
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            max_pending=args.max_pending,
-            max_age_s=args.max_age_s,
-            rate_per_s=args.rate_per_s,
-            aging_seconds=args.aging_seconds,
-            cache_dir=None if args.cache_dir is None else Path(args.cache_dir),
-            use_disk_cache=not args.no_disk_cache,
-        )
-    )
-
-
-def _parse_phase_schedule(text: str) -> list[dict]:
-    """Decode ``prefill:64:1,decode:8:2`` into recipe phase entries."""
-    from repro.errors import ConfigError
-
-    entries = []
-    for chunk in text.split(","):
-        parts = chunk.strip().split(":")
-        if not parts[0]:
-            raise ConfigError(
-                f"malformed phase entry {chunk!r}; expected"
-                " phase:ctas[:kernels]"
-            )
-        if len(parts) > 3:
-            raise ConfigError(
-                f"malformed phase entry {chunk!r}; expected"
-                " phase:ctas[:kernels]"
-            )
-        entry: dict = {"phase": parts[0]}
-        try:
-            if len(parts) > 1:
-                entry["ctas"] = int(parts[1])
-            if len(parts) > 2:
-                entry["kernels"] = int(parts[2])
-        except ValueError as error:
-            raise ConfigError(
-                f"malformed phase entry {chunk!r}: {error}"
-            ) from error
-        entries.append(entry)
-    return entries
-
-
-def _submit_main(argv: list[str]) -> int:
-    """``repro submit``: send one job recipe to a running sweep service."""
-    import json
-
-    from repro.service.client import ServiceClient
-
-    parser = argparse.ArgumentParser(
-        prog="repro submit",
-        description=(
-            "Submit one (workload, configuration) job to a running"
-            " 'repro serve' instance and print how it was served"
-            " (see docs/SERVICE.md)."
-        ),
-    )
-    _add_observe_arguments(parser, workload_optional=True)
-    parser.add_argument(
-        "--full", action="store_true",
-        help="simulate the full Table II workload instead of a shrunken copy",
-    )
-    parser.add_argument(
-        "--phases", default=None, metavar="SCHEDULE",
-        help=(
-            "compose an LLM phase schedule instead of naming a workload:"
-            " comma-separated phase:ctas[:kernels] entries, e.g."
-            " 'prefill:64:1,decode:8:2' (see docs/WORKLOADS.md)"
-        ),
-    )
-    parser.add_argument(
-        "--tenants", default=None, metavar="CLIENTS",
-        help=(
-            "replicate the --phases schedule per tenant (comma-separated"
-            " client ids, seed-decorrelated streams)"
-        ),
-    )
-    parser.add_argument(
-        "--bandwidth", choices=["1x-BW", "2x-BW"], default="2x-BW",
-        help="inter-GPM bandwidth setting (default: 2x-BW)",
-    )
-    parser.add_argument(
-        "--core-mhz", type=float, default=None,
-        help="pin the core domain to this K40-ladder operating point",
-    )
-    parser.add_argument(
-        "--cap-watts", type=float, default=None,
-        help="run under a chip power budget (validated at admission)",
-    )
-    parser.add_argument(
-        "--screen", choices=["roofline"], default=None,
-        help=(
-            "attach the roofline prediction for this job to the response"
-            " manifest (advisory; never changes the result or cache key)"
-        ),
-    )
-    parser.add_argument("--host", default="127.0.0.1", help="service address")
-    parser.add_argument("--port", type=int, default=8787, help="service port")
-    parser.add_argument(
-        "--client", default="cli", help="client id for rate limiting"
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="print the full outcome JSON"
-    )
-    args = parser.parse_args(argv)
-
-    from repro.errors import ConfigError
-
-    recipe: dict = {
-        "gpms": args.gpms,
-        "topology": args.topology,
-        "bandwidth": args.bandwidth,
-    }
-    if args.phases is not None:
-        if args.workload is not None:
-            raise ConfigError(
-                "--phases composes its own workload; drop the workload"
-                " argument"
-            )
-        recipe["phases"] = _parse_phase_schedule(args.phases)
-        if args.tenants is not None:
-            recipe["tenants"] = [
-                client.strip() for client in args.tenants.split(",")
-            ]
-    elif args.tenants is not None:
-        raise ConfigError("--tenants requires a --phases schedule")
-    elif args.workload is None:
-        raise ConfigError("name a workload or compose one with --phases")
-    else:
-        recipe["workload"] = args.workload
-        if args.full:
-            recipe["full"] = True
-        else:
-            recipe["ctas"] = args.ctas
-            recipe["kernels"] = args.kernels
-    if args.core_mhz is not None:
-        recipe["core_mhz"] = args.core_mhz
-    if args.cap_watts is not None:
-        recipe["cap_watts"] = args.cap_watts
-    if args.screen is not None:
-        recipe["screen"] = args.screen
-
-    # Validate the recipe locally before any connection: a malformed
-    # schedule is one stderr line + exit 2 here, identical to what the
-    # server's admission would say, with zero engine (or network) time.
-    from repro.service.job import request_from_recipe
-
-    request_from_recipe(recipe)
-
-    client = ServiceClient(args.host, args.port, client_id=args.client)
-    outcome = client.submit_recipe(recipe)
-    if args.json:
-        print(json.dumps(outcome, indent=2, sort_keys=True))
-        return 0
-    job = outcome["job"]
-    record = outcome["record"]
-    print(f"{job['workload']} on {job['config_label']}: {outcome['cache']}")
-    print(f"  job id        {job['job_id']}")
-    print(f"  cache key     {job['cache_key']}")
-    print(f"  lane          {job['lane']}")
-    print(f"  queue wait    {job['queue_wait_s'] * 1e3:10.1f}ms")
-    print(f"  execution     {job['exec_s'] * 1e3:10.1f}ms")
-    print(f"  total         {job['total_s'] * 1e3:10.1f}ms")
-    print(f"  sim seconds   {record['seconds']:12.6f}")
-    screen = job.get("screen")
-    if screen:
-        if "error" in screen:
-            print(f"  roofline      ({screen['error']})")
-        else:
-            err = abs(screen["predicted_delay_s"] - record["seconds"])
-            err_pct = err / record["seconds"] * 100 if record["seconds"] else 0.0
-            print(
-                f"  roofline      predicted {screen['predicted_delay_s']:.6f}s"
-                f" ({screen['bound']}-bound, {err_pct:.1f}% off)"
-            )
-    return 0
-
-
 #: Subcommand dispatch: every entry runs under the same ConfigError guard,
 #: so invalid configuration anywhere in the CLI is one stderr line + exit 2.
 _SUBCOMMANDS = {
@@ -1192,25 +956,22 @@ _SUBCOMMANDS = {
     "capsweep": _capsweep_main,
     "idlestudy": _idlestudy_main,
     "figures": _figures_main,
-    "serve": _serve_main,
-    "submit": _submit_main,
 }
 
 
 def _guarded(name: str, command, argv: list[str]) -> int:
     """Uniform error surface for every subcommand.
 
-    ``ConfigError`` (bad grids, infeasible caps, malformed recipes),
-    ``ExperimentError`` (bad study knobs like an unknown screen mode), and
-    ``ServiceError`` (a service turned the request away) all map to one
-    ``repro <name>: <message>`` line on stderr and exit code 2 — never a
-    traceback, never argparse's multi-line usage dump.
+    ``ConfigError`` (bad grids, infeasible caps, non-positive counts) and
+    ``ExperimentError`` (bad study knobs like an unknown screen mode) both
+    map to one ``repro <name>: <message>`` line on stderr and exit code 2 —
+    never a traceback, never argparse's multi-line usage dump.
     """
-    from repro.errors import ConfigError, ExperimentError, ServiceError
+    from repro.errors import ConfigError, ExperimentError
 
     try:
         return command(argv)
-    except (ConfigError, ExperimentError, ServiceError) as error:
+    except (ConfigError, ExperimentError) as error:
         print(f"repro {name}: {error}", file=sys.stderr)
         return 2
 

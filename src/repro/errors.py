@@ -34,16 +34,3 @@ class ValidationError(ReproError):
 
 class ExperimentError(ReproError):
     """An experiment driver was configured with unknown settings."""
-
-
-class ServiceError(ReproError):
-    """The sweep service rejected, evicted, or failed a submitted job.
-
-    ``kind`` is a stable machine-readable reason (``invalid-config``,
-    ``rate-limited``, ``queue-full``, ``evicted``, ``execution-failed``,
-    ``unavailable``) that the HTTP layer maps onto status codes.
-    """
-
-    def __init__(self, message: str, kind: str = "unavailable") -> None:
-        super().__init__(message)
-        self.kind = kind

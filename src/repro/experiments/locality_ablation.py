@@ -119,14 +119,14 @@ def _record_with_partitioning(
     # through the lower-level facade.
     import json
 
+    from repro.experiments.keys import cache_key
     from repro.experiments.results import RunRecord
-    from repro.experiments.runner import _cache_key
     from repro.gpu.simulator import GpuSimulator
     from repro.workloads.generator import build_workload
     from repro.workloads.suite import WORKLOAD_SPECS
 
     spec = WORKLOAD_SPECS[abbr]
-    key = _cache_key(spec, config) + "-rr"
+    key = cache_key(spec, config) + "-rr"
     path = runner._cache_path(key)
     if runner.settings.use_cache and path.exists():
         try:

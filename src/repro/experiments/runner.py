@@ -22,21 +22,21 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.errors import ConfigError, ExperimentError
-from repro.experiments.results import RunRecord
-from repro.gpu.config import GpuConfig
-from repro.gpu.simulator import simulate
 
 # Result identity (fingerprints, spec hash, cache key, RESULTS_VERSION)
-# lives in repro.service.keys — the public content-address API shared with
-# the sweep service.  The underscore aliases keep this module's historical
-# import surface stable for existing callers and tests.
-from repro.service.keys import (
+# lives in repro.experiments.keys — the public content-address API.  The
+# underscore aliases keep this module's historical import surface stable
+# for existing callers and tests.
+from repro.experiments.keys import (
     RESULTS_VERSION,
     cache_key as _cache_key,
     config_fingerprint as _config_fingerprint,
     spec_fingerprint as _spec_fingerprint,
     spec_hash as _spec_hash,
 )
+from repro.experiments.results import RunRecord
+from repro.gpu.config import GpuConfig
+from repro.gpu.simulator import simulate
 from repro.trace.manifest import RunManifest
 from repro.trace.metrics import MetricsRegistry
 from repro.workloads.generator import build_workload
@@ -138,8 +138,8 @@ def expand_operating_points(
 
     Each configuration becomes one variant per point (core domain on
     ``curve``, default the K40 ladder); ``operating_points=None`` returns
-    the configurations unchanged.  Shared by :meth:`SweepRunner.run_grid`
-    and the service adapter so both spell grid expansion identically.
+    the configurations unchanged.  Exhaustive and roofline-screened grids
+    both expand through here, so they share cache keys.
     """
     if operating_points is None:
         return configs

@@ -3,11 +3,7 @@
 This is the integration point the rest of the package uses: GPUJoule consumes
 the returned :class:`~repro.gpu.counters.CounterSet` and execution time, the
 EDPSE analysis consumes the derived speedups, and the experiment drivers never
-touch engine internals.  The sweep service (``repro.service``) executes
-through this same facade — one :func:`simulate` call per admitted job, in a
-worker thread's executor — so service results are bit-identical to direct
-calls and share the sweep cache's content-addressed keys
-(``repro.service.keys``).
+touch engine internals.
 """
 
 from __future__ import annotations

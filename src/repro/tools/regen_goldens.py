@@ -7,7 +7,7 @@ cache behaviour, NUMA routing, or timing shows up as a golden diff.
 
 If a diff is *intended* (you changed simulator semantics on purpose):
 
-1. bump ``RESULTS_VERSION`` in ``repro/experiments/runner.py`` so stale sweep
+1. bump ``RESULTS_VERSION`` in ``repro/experiments/keys.py`` so stale sweep
    caches are invalidated, then
 2. regenerate the snapshots::
 
@@ -437,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {path}")
     print(
         "Remember: if counters changed, bump RESULTS_VERSION in"
-        " repro/experiments/runner.py and commit the new goldens."
+        " repro/experiments/keys.py and commit the new goldens."
     )
     return 0
 

@@ -27,6 +27,7 @@ import argparse
 import json
 from pathlib import Path
 
+from repro.experiments.keys import RESULTS_VERSION
 from repro.roofline.calibration import (
     DEFAULT_CALIBRATION,
     ValidationReport,
@@ -34,7 +35,6 @@ from repro.roofline.calibration import (
     simulate_reference,
     validate_calibration,
 )
-from repro.service.keys import RESULTS_VERSION
 
 #: The committed manifest CI enforces.
 BOUNDS_PATH = Path(__file__).resolve().parents[3] / "ROOFLINE_bounds.json"

@@ -121,71 +121,3 @@ class RunManifest:
     def read(cls, path: str | Path) -> "RunManifest":
         with Path(path).open() as handle:
             return cls.from_json(json.load(handle))
-
-
-#: Bump when the service-manifest layout changes incompatibly.
-SERVICE_MANIFEST_SCHEMA_VERSION = 1
-
-
-@dataclass
-class ServiceManifest:
-    """Provenance for one job served by :mod:`repro.service`.
-
-    Where :class:`RunManifest` describes how a cached *simulation* was
-    produced, a ``ServiceManifest`` describes how one *request* was served:
-    which lane scheduled it, whether the result came from the store, an
-    in-flight coalesce, or a fresh simulation, and how long each stage
-    took.  Every response from ``POST /v1/jobs`` carries one.
-    """
-
-    job_id: str
-    cache_key: str
-    workload: str
-    config_label: str
-    client: str
-    lane: str
-    #: ``"hit"`` / ``"miss"`` / ``"coalesced"`` — how the result was served.
-    cache: str
-    #: Terminal job state (``completed`` for hits, which never queue).
-    state: str
-    queue_wait_s: float
-    exec_s: float
-    total_s: float
-    results_version: int
-    spec_hash: str
-    #: Roofline prediction attached when the request asked for screening
-    #: provenance (predicted energy/delay/EDP vs. what was served); ``None``
-    #: otherwise.  Advisory only — never part of the cache identity.
-    screen: dict | None = None
-    created_at: str = ""
-    schema_version: int = SERVICE_MANIFEST_SCHEMA_VERSION
-
-    def __post_init__(self) -> None:
-        if not self.created_at:
-            self.created_at = datetime.now(timezone.utc).isoformat()
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ServiceManifest":
-        return cls(
-            job_id=data["job_id"],
-            cache_key=data["cache_key"],
-            workload=data["workload"],
-            config_label=data["config_label"],
-            client=data["client"],
-            lane=data["lane"],
-            cache=data["cache"],
-            state=data["state"],
-            queue_wait_s=data["queue_wait_s"],
-            exec_s=data["exec_s"],
-            total_s=data["total_s"],
-            results_version=data["results_version"],
-            spec_hash=data["spec_hash"],
-            screen=data.get("screen"),
-            created_at=data.get("created_at", ""),
-            schema_version=data.get(
-                "schema_version", SERVICE_MANIFEST_SCHEMA_VERSION
-            ),
-        )

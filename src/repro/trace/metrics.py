@@ -73,22 +73,6 @@ class MetricsRegistry:
     def names(self) -> list[str]:
         return sorted(self._accumulators) + sorted(self._histograms)
 
-    def count(self, name: str) -> int:
-        """Observation count of one metric by name (0 when never recorded).
-
-        Counter-style metrics (one ``add(1.0)`` per event, the
-        :mod:`repro.service` convention) read their value through this
-        without the caller caring whether the name is an accumulator or a
-        histogram.
-        """
-        metric = self._accumulators.get(name)
-        if metric is not None:
-            return metric.count
-        histogram = self._histograms.get(name)
-        if histogram is not None:
-            return histogram.total
-        return 0
-
     def __len__(self) -> int:
         return len(self._accumulators) + len(self._histograms)
 

@@ -26,7 +26,7 @@ cannot — see ``docs/WORKLOADS.md``.
 The registry here is deliberately separate from ``WORKLOAD_SPECS``: the
 Table II suite feeds the paper's scaling/validation figures and must not
 change membership, while these specs feed the ``llmstudy`` figure and the
-service.  ``suite.get_spec`` consults both.
+observability subcommands.  ``suite.get_spec`` consults both.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from repro.isa.kernel import WorkloadCategory
 from repro.isa.opcodes import Opcode
 from repro.workloads.spec import PhaseSpec, WorkloadSpec
 
-#: Phase names the generators (and service recipes) understand.
+#: Phase names the generators understand.
 PHASE_NAMES = ("prefill", "decode")
 
 #: Compute-dense prefill mix: batched GEMM inner loops.
@@ -198,7 +198,7 @@ def schedule_spec(
 ) -> WorkloadSpec:
     """Build a phased spec from explicit (phase, ctas, kernels) entries.
 
-    This is the wire-recipe composer behind ``repro submit --phases``: each
+    This is the composer behind the ``llmstudy`` figure's schedules: each
     entry names a known phase shape with its CTA count and kernel count.
     With ``clients``, the whole schedule is replicated per tenant with
     seed-decorrelated streams (every validation error — unknown phase name,

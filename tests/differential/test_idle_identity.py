@@ -23,13 +23,13 @@ import pytest
 
 from repro.core.energy_model import EnergyParams
 from repro.dvfs.idle import CLOCK_GATED, POWER_GATED, IdleConfig
-from repro.gpu.simulator import RunResult, simulate
-from repro.service.keys import (
+from repro.experiments.keys import (
     RESULTS_VERSION,
     cache_key,
     config_fingerprint,
     key_blob,
 )
+from repro.gpu.simulator import RunResult, simulate
 from repro.tools.regen_goldens import (
     GOLDEN_CONFIGS,
     GOLDEN_SPECS,

@@ -15,11 +15,11 @@ import pytest
 from repro.dvfs.operating_point import K40_VF_CURVE
 from repro.dvfs.sweetspot import SweetSpotSearch, with_operating_point
 from repro.errors import ExperimentError
+from repro.experiments.keys import RESULTS_VERSION, cache_key
 from repro.experiments.runner import SweepRunner, SweepSettings
 from repro.gpu.config import table_iii_config
 from repro.roofline import RooflinePredictor
 from repro.roofline.screen import ScreenDisposition, screen_operating_points
-from repro.service.keys import RESULTS_VERSION, cache_key
 from repro.workloads.suite import shrunken_spec
 
 POINTS = tuple(K40_VF_CURVE.point_at(mhz * 1e6) for mhz in (324, 562, 875))

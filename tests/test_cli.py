@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import _EXPERIMENTS, main
+from repro.cli import _EXPERIMENTS, _SUBCOMMANDS, main
 
 
 class TestRegistry:
@@ -157,48 +157,6 @@ class TestUnifiedErrorHandling:
                  "--residual", "-0.1"],
             ),
             ("capsweep", ["capsweep", "--quick", "--processes", "0"]),
-            ("serve", ["serve", "--workers", "-1"]),
-            ("serve", ["serve", "--aging-seconds", "0"]),
-            (
-                "submit",
-                # Port 1 is never listening: the client's connection error
-                # surfaces through the same guard.
-                ["submit", "Stream", "--ctas", "8", "--port", "1"],
-            ),
-            # Malformed phase/tenant recipes: rejected by eager local
-            # admission validation (no server contact, no engine time).
-            (
-                "submit",
-                # Unknown phase name.
-                ["submit", "--phases", "refill:8:1", "--port", "1"],
-            ),
-            (
-                "submit",
-                # Zero-CTA decode phase.
-                ["submit", "--phases", "decode:0:1", "--port", "1"],
-            ),
-            (
-                "submit",
-                # Malformed schedule text (missing the ctas field).
-                ["submit", "--phases", "decode", "--port", "1"],
-            ),
-            (
-                "submit",
-                # Duplicate tenant client ids.
-                ["submit", "--phases", "decode:8:1", "--tenants", "a,a",
-                 "--port", "1"],
-            ),
-            (
-                "submit",
-                # Tenants without a phase schedule own nothing.
-                ["submit", "Stream", "--tenants", "a,b", "--port", "1"],
-            ),
-            (
-                "submit",
-                # A schedule and a named workload cannot both win.
-                ["submit", "Stream", "--phases", "decode:8:1",
-                 "--port", "1"],
-            ),
             ("figures", ["figures", "--quick", "--processes", "0"]),
             ("sweetspot", ["sweetspot", "--processes", "0"]),
         ],
@@ -210,13 +168,13 @@ class TestUnifiedErrorHandling:
         assert "Traceback" not in captured.err
         assert captured.err.strip().count("\n") == 0
 
-    def test_serve_and_submit_are_dispatched(self, capsys):
-        # --help exits 0 through argparse, proving the subcommands exist.
-        for name in ("serve", "submit", "idlestudy", "figures"):
-            with pytest.raises(SystemExit) as excinfo:
-                main([name, "--help"])
-            assert excinfo.value.code == 0
-            assert f"repro {name}" in capsys.readouterr().out
+    @pytest.mark.parametrize("name", sorted(_SUBCOMMANDS))
+    def test_every_subcommand_is_dispatched(self, capsys, name):
+        # --help exits 0 through argparse, proving the subcommand exists.
+        with pytest.raises(SystemExit) as excinfo:
+            main([name, "--help"])
+        assert excinfo.value.code == 0
+        assert f"repro {name}" in capsys.readouterr().out
 
 
 class TestProfileSubcommand:
