@@ -79,7 +79,7 @@ roofline-smoke:
 idle-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/differential/test_idle_identity.py \
 	  tests/dvfs/test_idle_properties.py -q
-	PYTHONPATH=src $(PYTHON) -m repro idlestudy --quick
+	PYTHONPATH=src $(PYTHON) -m repro idle --quick
 
 examples:
 	$(PYTHON) examples/quickstart.py

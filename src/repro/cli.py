@@ -2,10 +2,12 @@
 
 Runs any of the paper's experiments from the shell and prints the same
 rows/series the paper's table or figure reports.  ``all`` runs everything in
-DESIGN.md's experiment-index order.
+DESIGN.md's experiment-index order, then the extensions.  ``--quick``,
+``--screen``/``--top-k``/``--guard`` and ``--governor`` apply only to the
+experiments whose ``_EXPERIMENTS`` row accepts them; ``--out PATH`` also
+writes one experiment's rendered tables to a file.
 
-Two observability subcommands sit beside the experiments (see
-``docs/OBSERVABILITY.md``):
+Subcommands sit beside the experiments (see ``docs/OBSERVABILITY.md``):
 
 * ``repro trace <workload>`` — simulate a scaled-down copy of a Table II
   workload with the Chrome tracer attached and write a ``trace_event`` JSON
@@ -21,16 +23,11 @@ Two observability subcommands sit beside the experiments (see
   power-capping governor's decisions with residency-priced energy;
   ``--governor`` adds per-GPM sleep states (race-to-idle, deadline-paced,
   gate-only, or utilization) and prints the gated residency.
-* ``repro capsweep`` — sweep chip power budgets across GPM counts and report
-  residency-priced EDPSE per budget (``--quick`` for a small grid;
-  ``--screen roofline`` prunes the budget grid analytically first;
-  ``--governor`` attaches per-GPM sleep states under the cap).
-* ``repro idlestudy`` — compare race-to-idle, deadline-paced, gate-only,
-  and utilization governors on per-GPM sleep states and report EDPSE per
-  workload shape (``--quick`` for the CI smoke grid; see ``docs/POWER.md``).
 * ``repro roofline`` — score a workload's V/f ladder with the closed-form
   roofline predictor and compare against simulation; ``--check-bounds``
   verifies the committed error-bound manifest (see docs/MODELING.md).
+* ``repro figures`` — regenerate every ``fig*`` log in ``results/``
+  (see EXPERIMENTS.md).
 * ``repro bench`` — run the simulator throughput benchmark (the headline
   1–32 GPM sweep, or ``--quick`` for a single small case) and write
   ``BENCH_sim.json``; ``--check`` compares against a committed baseline
@@ -46,6 +43,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 from repro.experiments import (
     amortization_study,
@@ -53,13 +52,6 @@ from repro.experiments import (
     config_tables,
     compression_study,
     edip_study,
-    fig2_energy_scaling,
-    fig4_validation,
-    fig6_edpse_onpackage,
-    fig7_incremental,
-    fig8_bandwidth,
-    fig9_switch,
-    fig10_speedup_energy,
     headline,
     idle_study,
     interconnect_energy_study,
@@ -69,31 +61,72 @@ from repro.experiments import (
     table1b_epi_ept,
     topology_study,
 )
+from repro.experiments.figures import FIGURES, run_figures
 from repro.experiments.runner import SweepRunner, SweepSettings
 
+
+class _Experiment(NamedTuple):
+    """One ``repro <experiment>`` row: its runner and the flags it takes."""
+
+    #: ``f(runner, **options)``: ``quick`` if accepted, screen/governor
+    #: options only when given.
+    run: Callable
+    #: Accepted shared flags, out of ``quick``, ``screen``, ``governor``.
+    flags: tuple[str, ...] = ()
+
+
+#: Every experiment in run order: DESIGN.md's index, then the extensions.
+#: The fig* rows run the ``repro figures`` jobs, quick tier included.
 _EXPERIMENTS = {
-    "table1b": lambda runner: table1b_epi_ept.run(),
-    "fig2": fig2_energy_scaling.run,
-    "fig4": fig4_validation.run,
-    "fig6": fig6_edpse_onpackage.run,
-    "fig7": fig7_incremental.run,
-    "fig8": fig8_bandwidth.run,
-    "fig9": fig9_switch.run,
-    "fig10": fig10_speedup_energy.run,
-    "interconnect-energy": interconnect_energy_study.run,
-    "amortization": amortization_study.run,
-    "headline": headline.run,
+    "table1b": _Experiment(lambda runner: table1b_epi_ept.run()),
+    "fig2": _Experiment(FIGURES["fig2_energy_scaling"].run, ("quick",)),
+    "fig4": _Experiment(FIGURES["fig4_validation"].run, ("quick",)),
+    "fig6": _Experiment(FIGURES["fig6_edpse_onpackage"].run, ("quick",)),
+    "fig7": _Experiment(FIGURES["fig7_incremental"].run, ("quick",)),
+    "fig8": _Experiment(FIGURES["fig8_bandwidth"].run, ("quick",)),
+    "fig9": _Experiment(FIGURES["fig9_switch"].run, ("quick",)),
+    "fig10": _Experiment(FIGURES["fig10_speedup_energy"].run, ("quick",)),
+    "interconnect-energy": _Experiment(interconnect_energy_study.run),
+    "amortization": _Experiment(amortization_study.run),
+    "headline": _Experiment(headline.run),
     # Extensions beyond the paper's evaluation (Section V-E directions).
-    "tables": lambda runner: config_tables.run(),
-    "compression": compression_study.run,
-    "locality": locality_ablation.run,
-    "powergate": powergate_study.run,
-    "idle": idle_study.run,
-    "edip": edip_study.run,
-    "topology": topology_study.run,
-    "sweetspot": sweetspot_study.run,
-    "capping": capping_study.run,
+    "tables": _Experiment(config_tables.run),
+    "compression": _Experiment(compression_study.run),
+    "locality": _Experiment(locality_ablation.run),
+    "powergate": _Experiment(powergate_study.run),
+    "idle": _Experiment(idle_study.run, ("quick",)),
+    "edip": _Experiment(edip_study.run),
+    "topology": _Experiment(topology_study.run),
+    "sweetspot": _Experiment(sweetspot_study.run, ("screen",)),
+    "capping": _Experiment(
+        capping_study.run, ("quick", "screen", "governor")
+    ),
 }
+
+
+def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
+    """``--processes``/``--no-cache``, read back by :func:`_sweep_runner`."""
+    parser.add_argument(
+        "--processes",
+        type=int,
+        default=None,
+        help="simulation worker processes (default: auto)",
+    )
+    parser.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="ignore and do not write the sweep result cache",
+    )
+
+
+def _sweep_runner(args: argparse.Namespace) -> SweepRunner:
+    """The sweep runner ``--processes``/``--no-cache`` describe."""
+    settings = {}
+    if args.processes is not None:
+        settings["processes"] = args.processes
+    if args.no_cache:
+        settings["use_cache"] = False
+    return SweepRunner(SweepSettings(**settings))
 
 
 def _observed_pair(parser: argparse.ArgumentParser, args: argparse.Namespace):
@@ -580,31 +613,6 @@ def _dvfs_main(argv: list[str]) -> int:
     return 0
 
 
-def _add_screen_arguments(parser: argparse.ArgumentParser) -> None:
-    """The screening knobs shared by sweep-shaped subcommands."""
-    parser.add_argument(
-        "--screen",
-        choices=["roofline"],
-        default=None,
-        help=(
-            "analytically rank the sweep grid and simulate only the top-k"
-            " points (exact mode when omitted; see docs/MODELING.md)"
-        ),
-    )
-    parser.add_argument(
-        "--top-k",
-        type=int,
-        default=3,
-        help="screened points simulated per curve (default: 3)",
-    )
-    parser.add_argument(
-        "--guard",
-        type=int,
-        default=1,
-        help="extra guard points simulated beyond top-k (default: 1)",
-    )
-
-
 def _roofline_main(argv: list[str]) -> int:
     """``repro roofline``: predicted-vs-simulated table for one workload."""
     parser = argparse.ArgumentParser(
@@ -728,157 +736,8 @@ def _roofline_main(argv: list[str]) -> int:
     return 0
 
 
-def _capsweep_main(argv: list[str]) -> int:
-    """``repro capsweep``: EDPSE-vs-power-budget study (docs/POWER.md)."""
-    from repro.experiments import capping_study
-
-    parser = argparse.ArgumentParser(
-        prog="repro capsweep",
-        description=(
-            "Sweep chip power budgets across GPM counts with the"
-            " power-capping governor and report residency-priced EDPSE per"
-            " budget (see docs/POWER.md)."
-        ),
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="small grid (1/4 GPMs, two budgets, two workloads)",
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="also write the rendered tables to this path",
-    )
-    parser.add_argument(
-        "--processes",
-        type=int,
-        default=None,
-        help="simulation worker processes (default: auto)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the sweep result cache",
-    )
-    parser.add_argument(
-        "--governor",
-        choices=["utilization", "gate-only", "race-to-idle"],
-        default=None,
-        help=(
-            "attach per-GPM sleep states under this governor to every"
-            " configuration in the sweep (composes with the cap: a"
-            " race-to-idle ceiling rides inside the waterfill)"
-        ),
-    )
-    _add_screen_arguments(parser)
-    args = parser.parse_args(argv)
-
-    settings_kwargs = {}
-    if args.processes is not None:
-        settings_kwargs["processes"] = args.processes
-    if args.no_cache:
-        settings_kwargs["use_cache"] = False
-    runner = SweepRunner(SweepSettings(**settings_kwargs))
-
-    screen_kwargs = {}
-    if args.screen is not None:
-        screen_kwargs = {
-            "screen": args.screen, "top_k": args.top_k, "guard": args.guard
-        }
-    if args.governor is not None:
-        from repro.dvfs.idle import IdleConfig
-
-        screen_kwargs["idle"] = (
-            IdleConfig()
-            if args.governor == "gate-only"
-            else IdleConfig(governor=args.governor)
-        )
-    start = time.time()
-    if args.quick:
-        result = capping_study.run(
-            runner,
-            gpm_counts=(1, 4),
-            fractions=(None, 0.7),
-            workloads=("Stream", "BPROP"),
-            **screen_kwargs,
-        )
-    else:
-        result = capping_study.run(runner, **screen_kwargs)
-    rendered = result.render()
-    print(rendered)
-    print(f"[capsweep: {time.time() - start:.1f}s]")
-    if args.out:
-        from pathlib import Path
-
-        Path(args.out).write_text(rendered + "\n")
-        print(f"wrote {args.out}")
-    return 0
-
-
-def _idlestudy_main(argv: list[str]) -> int:
-    """``repro idlestudy``: governor comparison with real sleep states."""
-    from repro.experiments import idle_study
-
-    parser = argparse.ArgumentParser(
-        prog="repro idlestudy",
-        description=(
-            "Compare race-to-idle, deadline-paced, gate-only, and"
-            " utilization governors on per-GPM sleep states and report"
-            " residency-priced EDPSE per workload shape"
-            " (see docs/POWER.md)."
-        ),
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help=(
-            "one bursty + one steady workload under the"
-            " static/utilization/race-to-idle trio (the CI smoke shape)"
-        ),
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="also write the rendered tables to this path",
-    )
-    parser.add_argument(
-        "--processes",
-        type=int,
-        default=None,
-        help="simulation worker processes (default: auto)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the sweep result cache",
-    )
-    args = parser.parse_args(argv)
-
-    settings_kwargs = {}
-    if args.processes is not None:
-        settings_kwargs["processes"] = args.processes
-    if args.no_cache:
-        settings_kwargs["use_cache"] = False
-    runner = SweepRunner(SweepSettings(**settings_kwargs))
-
-    start = time.time()
-    result = idle_study.run(runner, quick=args.quick)
-    rendered = result.render()
-    print(rendered)
-    print(f"[idlestudy: {time.time() - start:.1f}s]")
-    if args.out:
-        from pathlib import Path
-
-        Path(args.out).write_text(rendered + "\n")
-        print(f"wrote {args.out}")
-    return 0
-
-
 def _figures_main(argv: list[str]) -> int:
     """``repro figures``: regenerate every fig* study into results/."""
-    from repro.experiments.figures import FIGURES, run_figures
-
     parser = argparse.ArgumentParser(
         prog="repro figures",
         description=(
@@ -912,31 +771,14 @@ def _figures_main(argv: list[str]) -> int:
         default="results",
         help="results root directory (default: results)",
     )
-    parser.add_argument(
-        "--processes",
-        type=int,
-        default=None,
-        help="simulation worker processes (default: auto)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the sweep result cache",
-    )
+    _add_runner_arguments(parser)
     args = parser.parse_args(argv)
-
-    settings_kwargs = {}
-    if args.processes is not None:
-        settings_kwargs["processes"] = args.processes
-    if args.no_cache:
-        settings_kwargs["use_cache"] = False
-    runner = SweepRunner(SweepSettings(**settings_kwargs))
 
     start = time.time()
     written = run_figures(
         names=tuple(args.only) if args.only else None,
         out_dir=args.out,
-        runner=runner,
+        runner=_sweep_runner(args),
         quick=args.quick,
         echo=print,
     )
@@ -953,8 +795,6 @@ _SUBCOMMANDS = {
     "profile": _profile_main,
     "dvfs": _dvfs_main,
     "roofline": _roofline_main,
-    "capsweep": _capsweep_main,
-    "idlestudy": _idlestudy_main,
     "figures": _figures_main,
 }
 
@@ -993,13 +833,12 @@ def main(argv: list[str] | None = None) -> int:
             " Energy Efficiency in Multi-Module GPUs' (HPCA 2019)."
         ),
         epilog=(
-            "Observability subcommands: 'repro trace <workload>' captures a"
+            "Subcommands: 'repro trace <workload>' captures a"
             " Perfetto-viewable Chrome trace; 'repro profile <workload>'"
             " prints component metrics; 'repro dvfs <workload>' sweeps the"
-            " V/f ladder and reports the energy sweet spot; 'repro capsweep'"
-            " sweeps chip power budgets and reports residency-priced EDPSE;"
-            " 'repro idlestudy' compares sleep-state governors; 'repro"
-            " figures' regenerates every fig* log in results/; 'repro"
+            " V/f ladder and reports the energy sweet spot; 'repro roofline"
+            " <workload>' compares the roofline predictor with simulation;"
+            " 'repro figures' regenerates every fig* log in results/; 'repro"
             " bench' measures simulator throughput.  See"
             " docs/OBSERVABILITY.md, docs/POWER.md, and docs/PERFORMANCE.md."
         ),
@@ -1012,57 +851,97 @@ def main(argv: list[str] | None = None) -> int:
         help="which tables/figures to regenerate ('all' for everything)",
     )
     parser.add_argument(
-        "--processes",
-        type=int,
-        default=None,
-        help="simulation worker processes (default: auto)",
+        "--quick",
+        action="store_true",
+        help="smoke tier: shrunken workloads on a reduced grid",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the sweep result cache",
+        "--out",
+        default=None,
+        help="also write the rendered tables to this path (one experiment)",
     )
-    _add_screen_arguments(parser)
+    _add_runner_arguments(parser)
+    parser.add_argument(
+        "--screen",
+        choices=["roofline"],
+        default=None,
+        help=(
+            "analytically rank the sweep grid and simulate only the top-k"
+            " points (exact mode when omitted; see docs/MODELING.md)"
+        ),
+    )
+    parser.add_argument(
+        "--top-k",
+        type=int,
+        default=3,
+        help="screened points simulated per curve (default: 3)",
+    )
+    parser.add_argument(
+        "--guard",
+        type=int,
+        default=1,
+        help="extra guard points simulated beyond top-k (default: 1)",
+    )
+    parser.add_argument(
+        "--governor",
+        choices=["utilization", "gate-only", "race-to-idle"],
+        default=None,
+        help=(
+            "attach per-GPM sleep states under this governor to every"
+            " configuration in the sweep (composes with the cap: a"
+            " race-to-idle ceiling rides inside the waterfill)"
+        ),
+    )
     args = parser.parse_args(argv)
 
     def _experiments_main(_argv: list[str]) -> int:
         from repro.errors import ConfigError
 
-        settings_kwargs = {}
-        if args.processes is not None:
-            settings_kwargs["processes"] = args.processes
-        if args.no_cache:
-            settings_kwargs["use_cache"] = False
-        runner = SweepRunner(SweepSettings(**settings_kwargs))
-
-        # Experiments whose grids the roofline screen can prune.
-        screenable = {
-            "sweetspot": sweetspot_study.run,
-            "capping": capping_study.run,
-        }
         if "all" in args.experiments:
-            names = sorted(_EXPERIMENTS)
+            names = list(_EXPERIMENTS)
         else:
             names = list(dict.fromkeys(args.experiments))
-        if args.screen is not None:
-            unsupported = [n for n in names if n not in screenable]
-            if unsupported:
+        for flag, given in (
+            ("quick", args.quick),
+            ("screen", args.screen is not None),
+            ("governor", args.governor is not None),
+        ):
+            unsupported = [
+                n for n in names if flag not in _EXPERIMENTS[n].flags
+            ]
+            if given and unsupported:
+                accepting = sorted(
+                    n for n, e in _EXPERIMENTS.items() if flag in e.flags
+                )
                 raise ConfigError(
-                    f"--screen applies to {sorted(screenable)} only,"
+                    f"--{flag} applies to {accepting} only,"
                     f" got {unsupported}"
                 )
+        if args.out is not None and len(names) != 1:
+            raise ConfigError(
+                f"--out takes exactly one experiment, got {names}"
+            )
+        options = {}
+        if args.screen is not None:
+            options.update(
+                screen=args.screen, top_k=args.top_k, guard=args.guard
+            )
+        if args.governor is not None:
+            options["governor"] = args.governor
+        runner = _sweep_runner(args)
         for name in names:
+            experiment = _EXPERIMENTS[name]
+            quick = (
+                {"quick": args.quick} if "quick" in experiment.flags else {}
+            )
             start = time.time()
-            if args.screen is not None and name in screenable:
-                result = screenable[name](
-                    runner, screen=args.screen,
-                    top_k=args.top_k, guard=args.guard,
-                )
-            else:
-                result = _EXPERIMENTS[name](runner)
-            print(result.render())
+            rendered = experiment.run(runner, **quick, **options).render()
+            print(rendered)
             print(f"[{name}: {time.time() - start:.1f}s]")
             print()
+            if args.out is not None:
+                Path(args.out).write_text(rendered + "\n")
+                print(f"wrote {args.out}")
         return 0
 
     # Experiments run under the same guard as the subcommands, so e.g.

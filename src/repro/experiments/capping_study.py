@@ -37,6 +37,10 @@ STUDY_GPM_COUNTS: tuple[int, ...] = TABLE_III_GPM_COUNTS
 #: budget in the grid is feasible for every GPM count.
 BUDGET_FRACTIONS: tuple[float | None, ...] = (None, 1.0, 0.85, 0.70, 0.55)
 
+#: The quick tier's grid (GPM counts, budget fractions, workloads): small
+#: enough for a smoke run, still one memory- and one compute-bound workload.
+QUICK_GRID = ((1, 4), (None, 0.7), ("Stream", "BPROP"))
+
 
 def nominal_chip_watts(num_gpms: int) -> float:
     """The uncapped worst-case budget baseline of an ``num_gpms`` chip."""
@@ -51,7 +55,7 @@ def capped_config(
     """The Table III configuration under one budget fraction.
 
     ``idle`` optionally gives every GPM the sleep ladder on top of the cap
-    (``repro capsweep --governor``); the attached governor composes with
+    (``repro capping --governor``); the attached governor composes with
     the budget — a race-to-idle ceiling rides inside the waterfill.
     """
     config = table_iii_config(num_gpms)
@@ -106,7 +110,7 @@ class CappingStudyResult:
     def render(self) -> str:
         """The EDPSE-vs-budget surface and the reported-power check."""
         # Derive the axes from the computed surface so partial sweeps
-        # (e.g. ``repro capsweep --quick``) render what they actually ran.
+        # (e.g. ``repro capping --quick``) render what they actually ran.
         fractions = list(self.edpse)
         gpm_counts = sorted(
             {n for by_gpms in self.edpse.values() for n in by_gpms}
@@ -258,25 +262,35 @@ def _screen_fractions(
 
 def run(
     runner: SweepRunner | None = None,
-    gpm_counts: tuple[int, ...] = STUDY_GPM_COUNTS,
-    fractions: tuple[float | None, ...] = BUDGET_FRACTIONS,
-    workloads: tuple[str, ...] = SCALING_SUBSET,
+    quick: bool = False,
     screen: str | None = None,
     top_k: int = 3,
     guard: int = 1,
-    idle: "IdleConfig | None" = None,
+    governor: str | None = None,
 ) -> CappingStudyResult:
     """Execute (or fetch from cache) the power-capping study.
+
+    ``quick`` sweeps :data:`QUICK_GRID` instead of the full 1-32 GPM,
+    five-budget, scaling-subset grid.
 
     ``screen="roofline"`` prunes the budget grid analytically first (see
     :func:`_screen_fractions`); the surviving budgets are simulated through
     the exact same configurations — hence cache keys — as an exhaustive run.
-    (The screen's predictor is idle-blind: with ``idle`` set it still ranks
+
+    ``governor`` (``utilization``, ``gate-only`` or ``race-to-idle``)
+    gives every configuration per-GPM sleep states under that governor.
+    (The screen's predictor is idle-blind: with a governor it still ranks
     budgets by the gate-free roofline, which the guard point absorbs.)
     """
-    if None not in fractions:
-        raise ExperimentError(
-            "the capping study needs the uncapped baseline (fraction None)"
+    gpm_counts, fractions, workloads = (
+        QUICK_GRID
+        if quick
+        else (STUDY_GPM_COUNTS, BUDGET_FRACTIONS, SCALING_SUBSET)
+    )
+    idle = None
+    if governor is not None:
+        idle = IdleConfig(
+            governor=None if governor == "gate-only" else governor
         )
     runner = runner or SweepRunner()
     specs = [WORKLOAD_SPECS[abbr] for abbr in workloads]

@@ -21,36 +21,21 @@ and ``deadline-paced`` — on the same 8-GPM study fabric, and is summarized
 as EDPSE (Eq. 2) against the 1-GPM static baseline.  The headline the
 integration tests pin: race-to-idle beats the utilization governor on the
 decode grid (the straggler gap pays for the sprint) while prefill shows no
-such win.
+such win.  The comparison is the idle study's ``GovernorStudy``; this
+module supplies the serving grids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.errors import ExperimentError
-from repro.experiments.capping_study import priced_params
-from repro.experiments.idle_study import (
-    DEADLINE_SLACK,
-    STUDY_GPM_COUNT,
-    baseline_config,
-    governed_config,
-    sleep_fraction,
-)
-from repro.experiments.render import render_table
-from repro.experiments.results import RunRecord
-from repro.experiments.runner import SweepRunner
-from repro.units import mean
+from repro.experiments import idle_study
 from repro.workloads.llm import schedule_spec
 from repro.workloads.spec import WorkloadSpec
 
-#: Governor variants in render order (idle-study semantics; ``gate-only``
-#: is omitted — a serving node always runs *some* policy).
-STUDY_GOVERNORS: tuple[str, ...] = (
-    "static",
-    "utilization",
-    "race-to-idle",
-    "deadline-paced",
+#: Governor variants in render order: the idle study's without
+#: ``gate-only`` (a serving node always runs *some* policy).
+STUDY_GOVERNORS: tuple[str, ...] = tuple(
+    g for g in idle_study.STUDY_GOVERNORS if g != "gate-only"
 )
 
 #: The serving grids in render order.
@@ -96,205 +81,25 @@ def grid_spec(grid: str, quick: bool = False) -> WorkloadSpec:
     )
 
 
-@dataclass
-class LlmStudyResult:
-    """EDPSE, energy, delay, and sleep fraction per (governor, grid)."""
+LLM_STUDY = idle_study.GovernorStudy(
+    title="LLM study",
+    name="LLM-study",
+    governors=STUDY_GOVERNORS,
+    workloads=lambda quick: (
+        {grid: grid_spec(grid, quick=quick) for grid in GRID_ORDER},
+        {},
+    ),
+    note=(
+        "EDPSE baseline: 1 GPM, anchor clock, no gating."
+        f" prefill = {PREFILL_CTAS} CTAs (even waves);"
+        f" decode = {DECODE_CTAS} CTAs (straggler wave);"
+        " tenant-mix composes both phases for two clients."
+        " Race-to-idle beats the utilization governor on the"
+        " decode grid; prefill shows no such win."
+    ),
+    mean_column=True,
+)
 
-    #: Records keyed ``records[governor][grid]``.
-    records: dict[str, dict[str, RunRecord]]
-    #: Baseline (1-GPM static) records keyed by grid.
-    baseline: dict[str, RunRecord]
-    #: EDPSE (%) keyed ``edpse[governor][grid]``; higher is better.
-    edpse: dict[str, dict[str, float]] = field(default_factory=dict)
-    #: Modeled energy (J), same keying.
-    energy_j: dict[str, dict[str, float]] = field(default_factory=dict)
-    #: Runtime (s), same keying.
-    seconds: dict[str, dict[str, float]] = field(default_factory=dict)
-    #: Core-domain sleep fraction, same keying.
-    slept: dict[str, dict[str, float]] = field(default_factory=dict)
-    #: Derived per-grid deadline (cycles) for the paced governor.
-    deadlines: dict[str, float] = field(default_factory=dict)
-
-    def record(self, governor: str, grid: str) -> RunRecord:
-        try:
-            return self.records[governor][grid]
-        except KeyError as exc:
-            raise ExperimentError(
-                f"no LLM-study record for the {grid!r} grid"
-                f" under the {governor!r} governor"
-            ) from exc
-
-    def mean_edpse(self, governor: str) -> float:
-        """Mean EDPSE over the serving grids for one governor."""
-        values = list(self.edpse.get(governor, {}).values())
-        if not values:
-            raise ExperimentError(
-                f"no LLM-study EDPSE for governor {governor!r}"
-            )
-        return mean(values)
-
-    def render(self) -> str:
-        """The per-grid EDPSE surface plus energy/sleep diagnostics."""
-        governors = [g for g in STUDY_GOVERNORS if g in self.edpse]
-        grids = list(self.baseline)
-        header = ["governor"] + list(grids) + ["mean"]
-        edpse_rows = [
-            [governor]
-            + [self.edpse[governor][grid] for grid in grids]
-            + [self.mean_edpse(governor)]
-            for governor in governors
-        ]
-        tables = [
-            render_table(
-                f"LLM study: EDPSE (%) at {STUDY_GPM_COUNT} GPMs",
-                header,
-                edpse_rows,
-                note=(
-                    "EDPSE baseline: 1 GPM, anchor clock, no gating."
-                    f" prefill = {PREFILL_CTAS} CTAs (even waves);"
-                    f" decode = {DECODE_CTAS} CTAs (straggler wave);"
-                    " tenant-mix composes both phases for two clients."
-                    " Race-to-idle beats the utilization governor on the"
-                    " decode grid; prefill shows no such win."
-                ),
-            )
-        ]
-        sleep_rows = [
-            [governor]
-            + [
-                f"{self.slept[governor][grid]:.1%}"
-                + f" / {self.energy_j[governor][grid]:.3e} J"
-                for grid in grids
-            ]
-            for governor in governors
-        ]
-        tables.append(
-            render_table(
-                "Core-domain sleep fraction / modeled energy",
-                ["governor"] + list(grids),
-                sleep_rows,
-                note=(
-                    "Sleep fraction counts clock- and power-gated cycles"
-                    " across all GPMs; static and utilization rows gate"
-                    " nothing by construction."
-                ),
-            )
-        )
-        if self.deadlines:
-            lines = [
-                f"Deadline-paced budget: race-to-idle runtime x"
-                f" {DEADLINE_SLACK:g}"
-            ]
-            for grid, deadline in self.deadlines.items():
-                lines.append(f"  {grid}: {deadline:.0f} cycles")
-            tables.append("\n".join(lines))
-        return "\n\n".join(tables)
-
-
-def run(
-    runner: SweepRunner | None = None,
-    governors: tuple[str, ...] = STUDY_GOVERNORS,
-    quick: bool = False,
-) -> LlmStudyResult:
-    """Execute (or fetch from cache) the LLM-serving study.
-
-    ``quick`` halves kernel counts and drops the deadline-paced variant —
-    the CI smoke shape.  As in the idle study, the deadline-paced batch is
-    resolved second because its deadline derives from the race-to-idle
-    runtime (deterministic function of cached results).
-    """
-    unknown = [g for g in governors if g not in STUDY_GOVERNORS]
-    if unknown:
-        raise ExperimentError(
-            f"unknown LLM-study governors {unknown};"
-            f" known: {list(STUDY_GOVERNORS)}"
-        )
-    if quick:
-        governors = tuple(g for g in governors if g != "deadline-paced")
-    if "deadline-paced" in governors and "race-to-idle" not in governors:
-        raise ExperimentError(
-            "the deadline-paced variant derives its deadline from the"
-            " race-to-idle runtime; run both or neither"
-        )
-    runner = runner or SweepRunner()
-    specs = {grid: grid_spec(grid, quick=quick) for grid in GRID_ORDER}
-
-    first_batch = [g for g in governors if g != "deadline-paced"]
-    configs = {g: governed_config(g) for g in first_batch}
-    baseline = baseline_config()
-    pairs = [(spec, baseline) for spec in specs.values()]
-    pairs += [
-        (spec, config)
-        for config in configs.values()
-        for spec in specs.values()
-    ]
-    by_key = {
-        (record.workload, record.config_label): record
-        for record in runner.run(pairs)
-    }
-
-    result = LlmStudyResult(
-        records={
-            g: {
-                grid: by_key[(specs[grid].abbr, configs[g].label())]
-                for grid in specs
-            }
-            for g in first_batch
-        },
-        baseline={
-            grid: by_key[(specs[grid].abbr, baseline.label())]
-            for grid in specs
-        },
-    )
-
-    paced_configs: dict[str, object] = {}
-    if "deadline-paced" in governors:
-        race = result.records["race-to-idle"]
-        result.deadlines = {
-            grid: race[grid].counters.elapsed_cycles * DEADLINE_SLACK
-            for grid in specs
-        }
-        paced_configs = {
-            grid: governed_config(
-                "deadline-paced", deadline_cycles=result.deadlines[grid]
-            )
-            for grid in specs
-        }
-        paced_records = {
-            (record.workload, record.config_label): record
-            for record in runner.run(
-                [(specs[grid], paced_configs[grid]) for grid in specs]
-            )
-        }
-        result.records["deadline-paced"] = {
-            grid: paced_records[
-                (specs[grid].abbr, paced_configs[grid].label())
-            ]
-            for grid in specs
-        }
-
-    baseline_edp = {}
-    for grid in specs:
-        record = result.baseline[grid]
-        energy = record.energy(priced_params(baseline, record))
-        baseline_edp[grid] = energy.total * record.seconds
-
-    for governor, records in result.records.items():
-        result.edpse[governor] = {}
-        result.energy_j[governor] = {}
-        result.seconds[governor] = {}
-        result.slept[governor] = {}
-        for grid, record in records.items():
-            if governor == "deadline-paced":
-                config = paced_configs[grid]
-            else:
-                config = configs[governor]
-            energy = record.energy(priced_params(config, record))
-            edp = energy.total * record.seconds
-            result.edpse[governor][grid] = (
-                baseline_edp[grid] * 100.0 / (STUDY_GPM_COUNT * edp)
-            )
-            result.energy_j[governor][grid] = energy.total
-            result.seconds[governor][grid] = record.seconds
-            result.slept[governor][grid] = sleep_fraction(record)
-    return result
+#: ``run(runner, governors, quick)``: see
+#: :meth:`~repro.experiments.idle_study.GovernorStudy.run`.
+run = LLM_STUDY.run

@@ -20,12 +20,14 @@ Every variant is summarized as EDPSE (Eq. 2) against the paper's fixed
 straggler grids (a CTA count that leaves one GPM an extra wave while seven
 sit idle) racing buys real gated cycles and wins; on balanced grids there
 is nothing to gate and the sprint's V² premium loses to plain downclocking.
-The integration tests pin both directions.
+The integration tests pin both directions.  :class:`GovernorStudy` runs the
+comparison; the LLM-serving study reuses it with its own workload table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from repro.dvfs.idle import IdleConfig
 from repro.dvfs.residency import DvfsResidency
@@ -55,7 +57,8 @@ DEADLINE_SLACK = 1.25
 
 #: Governor variants in render order.  ``static`` is the ungoverned anchor
 #: run; ``deadline-paced`` is resolved in a second batch because its
-#: deadline derives from the race-to-idle runtime (see :func:`run`).
+#: deadline derives from the race-to-idle runtime (see
+#: :meth:`GovernorStudy.run`).
 STUDY_GOVERNORS: tuple[str, ...] = (
     "static",
     "utilization",
@@ -63,6 +66,10 @@ STUDY_GOVERNORS: tuple[str, ...] = (
     "race-to-idle",
     "deadline-paced",
 )
+
+#: Governors the quick tier leaves out: the second (paced) batch and the
+#: states-only variant.
+QUICK_DROPPED: tuple[str, ...] = ("gate-only", "deadline-paced")
 
 #: Workloads by burstiness.  33 CTAs over 8 GPMs splits [5,4,4,4,4,4,4,4]:
 #: with 4 CTA slots per GPM the straggler needs a second wave, so seven
@@ -75,30 +82,22 @@ BURSTY_WORKLOADS: tuple[tuple[str, int, int], ...] = (
 STEADY_WORKLOADS: tuple[tuple[str, int, int], ...] = (("Stream", 64, 6),)
 
 
-def study_gpm() -> GpmConfig:
-    """The golden-test GPM (2 SMs x 2 CTA slots): small enough to sweep,
-    big enough that wave imbalance is visible."""
-    return GpmConfig(num_sms=2, slots_per_sm=2)
+#: The golden-test GPM (2 SMs x 2 CTA slots): small enough to sweep, big
+#: enough that wave imbalance is visible.
+STUDY_GPM = GpmConfig(num_sms=2, slots_per_sm=2)
 
-
-def study_interconnect() -> InterconnectConfig:
-    """The golden-test ring (256 Gb/s per GPM, 15-cycle links)."""
-    return InterconnectConfig(
-        kind=TopologyKind.RING,
-        per_gpm_bandwidth_gbps=256.0,
-        link_latency_cycles=15.0,
-        energy_pj_per_bit=0.54,
-    )
-
-
-def study_spec(abbr: str, total_ctas: int, kernels: int) -> WorkloadSpec:
-    """One shrunken study workload (shared with the regression tests)."""
-    return shrunken_spec(abbr, total_ctas=total_ctas, kernels=kernels)
+#: The golden-test ring (256 Gb/s per GPM, 15-cycle links).
+STUDY_INTERCONNECT = InterconnectConfig(
+    kind=TopologyKind.RING,
+    per_gpm_bandwidth_gbps=256.0,
+    link_latency_cycles=15.0,
+    energy_pj_per_bit=0.54,
+)
 
 
 def baseline_config() -> GpuConfig:
     """The EDPSE baseline: 1 GPM, anchor clock, no governor, no sleep."""
-    return GpuConfig(num_gpms=1, gpm=study_gpm())
+    return GpuConfig(num_gpms=1, gpm=STUDY_GPM)
 
 
 def governed_config(
@@ -107,8 +106,8 @@ def governed_config(
     """The 8-GPM study configuration under one governor variant."""
     base = GpuConfig(
         num_gpms=STUDY_GPM_COUNT,
-        gpm=study_gpm(),
-        interconnect=study_interconnect(),
+        gpm=STUDY_GPM,
+        interconnect=STUDY_INTERCONNECT,
     )
     if governor == "static":
         return base
@@ -148,15 +147,152 @@ def sleep_fraction(record: RunRecord) -> float:
     return residency.total_sleep_cycles / total
 
 
+@dataclass(frozen=True)
+class GovernorStudy:
+    """One governor comparison: the governors it runs over which workloads.
+
+    The idle and LLM studies differ only in these fields; the batches, the
+    EDPSE loop and the rendered tables below are shared.
+    """
+
+    #: Table-title prefix, e.g. ``"Idle study"``.
+    title: str
+    #: Study name in error messages, e.g. ``"idle-study"``.
+    name: str
+    #: Governor variants in render order.
+    governors: tuple[str, ...]
+    #: ``f(quick) -> (specs, shape)``: the study workloads keyed by column,
+    #: and the burstiness label shown next to each labelled column.
+    workloads: Callable[
+        [bool], tuple[dict[str, WorkloadSpec], dict[str, str]]
+    ]
+    #: Footnote under the EDPSE table.
+    note: str
+    #: Append a per-governor mean column to the EDPSE table.
+    mean_column: bool = False
+
+    def run(
+        self,
+        runner: SweepRunner | None = None,
+        governors: tuple[str, ...] | None = None,
+        quick: bool = False,
+    ) -> GovernorStudyResult:
+        """Execute (or fetch from cache) the study.
+
+        ``quick`` runs the workload table's quick tier without the
+        :data:`QUICK_DROPPED` governors — the CI smoke shape.
+
+        The deadline-paced variant runs in a second batch: its per-workload
+        deadline is the race-to-idle runtime times :data:`DEADLINE_SLACK`,
+        which keeps the derived configuration a deterministic function of
+        cached results (same inputs, same deadline, same cache key).
+        """
+        governors = self.governors if governors is None else governors
+        unknown = [g for g in governors if g not in self.governors]
+        if unknown:
+            raise ExperimentError(
+                f"unknown {self.name} governors {unknown};"
+                f" known: {list(self.governors)}"
+            )
+        if quick:
+            governors = tuple(g for g in governors if g not in QUICK_DROPPED)
+        if "deadline-paced" in governors and "race-to-idle" not in governors:
+            raise ExperimentError(
+                "the deadline-paced variant derives its deadline from the"
+                " race-to-idle runtime; run both or neither"
+            )
+        runner = runner or SweepRunner()
+        specs, shape = self.workloads(quick)
+
+        configs = {"baseline": dict.fromkeys(specs, baseline_config())}
+        for governor in governors:
+            if governor != "deadline-paced":
+                configs[governor] = dict.fromkeys(
+                    specs, governed_config(governor)
+                )
+        records = _run_batch(runner, specs, configs)
+        deadlines: dict[str, float] = {}
+        if "deadline-paced" in governors:
+            race = records["race-to-idle"]
+            deadlines = {
+                key: race[key].counters.elapsed_cycles * DEADLINE_SLACK
+                for key in specs
+            }
+            paced = {
+                key: governed_config("deadline-paced", deadline_cycles=cycles)
+                for key, cycles in deadlines.items()
+            }
+            configs["deadline-paced"] = paced
+            records |= _run_batch(runner, specs, {"deadline-paced": paced})
+
+        result = GovernorStudyResult(
+            study=self,
+            baseline=records.pop("baseline"),
+            records=records,
+            shape=shape,
+            deadlines=deadlines,
+        )
+        baseline_edp = {}
+        for key, record in result.baseline.items():
+            energy = record.energy(
+                priced_params(configs["baseline"][key], record)
+            )
+            baseline_edp[key] = energy.total * record.seconds
+        for governor, by_key in records.items():
+            for key, record in by_key.items():
+                energy = record.energy(
+                    priced_params(configs[governor][key], record)
+                )
+                edp = energy.total * record.seconds
+                result.edpse.setdefault(governor, {})[key] = (
+                    baseline_edp[key] * 100.0 / (STUDY_GPM_COUNT * edp)
+                )
+                result.energy_j.setdefault(governor, {})[key] = energy.total
+                result.seconds.setdefault(governor, {})[key] = record.seconds
+                result.slept.setdefault(governor, {})[key] = sleep_fraction(
+                    record
+                )
+        return result
+
+
+def _run_batch(
+    runner: SweepRunner,
+    specs: dict[str, WorkloadSpec],
+    configs: dict[str, dict[str, GpuConfig]],
+) -> dict[str, dict[str, RunRecord]]:
+    """Run every ``configs[variant][key]`` on ``specs[key]`` in one sweep.
+
+    Records come back keyed like ``configs``.
+    """
+    pairs = [
+        (specs[key], config)
+        for by_key in configs.values()
+        for key, config in by_key.items()
+    ]
+    by_label = {
+        (record.workload, record.config_label): record
+        for record in runner.run(pairs)
+    }
+    return {
+        variant: {
+            key: by_label[(specs[key].abbr, config.label())]
+            for key, config in by_key.items()
+        }
+        for variant, by_key in configs.items()
+    }
+
+
 @dataclass
-class IdleStudyResult:
+class GovernorStudyResult:
     """EDPSE, energy, delay, and sleep fraction per (governor, workload)."""
 
+    #: The study that produced these results (titles, names, columns).
+    study: GovernorStudy
     #: Records keyed ``records[governor][workload]``.
     records: dict[str, dict[str, RunRecord]]
     #: Baseline (1-GPM static) records keyed by workload.
     baseline: dict[str, RunRecord]
-    #: Workload burstiness labels keyed by workload abbreviation.
+    #: Burstiness labels keyed by workload (empty when the study has none).
     shape: dict[str, str]
     #: EDPSE (%) keyed ``edpse[governor][workload]``; higher is better.
     edpse: dict[str, dict[str, float]] = field(default_factory=dict)
@@ -174,7 +310,7 @@ class IdleStudyResult:
             return self.records[governor][workload]
         except KeyError as exc:
             raise ExperimentError(
-                f"no idle-study record for {workload!r}"
+                f"no {self.study.name} record for {workload!r}"
                 f" under the {governor!r} governor"
             ) from exc
 
@@ -187,35 +323,33 @@ class IdleStudyResult:
         ]
         if not values:
             raise ExperimentError(
-                f"no idle-study EDPSE for governor {governor!r}"
+                f"no {self.study.name} EDPSE for governor {governor!r}"
                 + (f" on {shape} workloads" if shape else "")
             )
         return mean(values)
 
     def render(self) -> str:
         """The per-workload EDPSE surface plus energy/sleep diagnostics."""
-        governors = [g for g in STUDY_GOVERNORS if g in self.edpse]
+        study = self.study
+        governors = [g for g in study.governors if g in self.edpse]
         workloads = list(self.baseline)
         header = ["governor"] + [
-            f"{w} ({self.shape[w]})" for w in workloads
+            f"{w} ({self.shape[w]})" if w in self.shape else w
+            for w in workloads
         ]
+        mean_header = ["mean"] if study.mean_column else []
         edpse_rows = [
-            [governor] + [self.edpse[governor][w] for w in workloads]
+            [governor]
+            + [self.edpse[governor][w] for w in workloads]
+            + ([self.mean_edpse(governor)] if study.mean_column else [])
             for governor in governors
         ]
         tables = [
             render_table(
-                f"Idle study: EDPSE (%) at {STUDY_GPM_COUNT} GPMs",
-                header,
+                f"{study.title}: EDPSE (%) at {STUDY_GPM_COUNT} GPMs",
+                header + mean_header,
                 edpse_rows,
-                note=(
-                    "EDPSE baseline: 1 GPM, anchor clock, no gating."
-                    " bursty = straggler wave (33 CTAs on 8 GPMs);"
-                    " steady = balanced waves.  Race-to-idle beats the"
-                    " utilization governor on bursty shapes (the gated"
-                    " straggler gap pays for the sprint) and loses on"
-                    " steady ones (nothing to gate, V^2 premium only)."
-                ),
+                note=study.note,
             )
         ]
         sleep_rows = [
@@ -253,126 +387,35 @@ class IdleStudyResult:
 def _workload_table(
     quick: bool,
 ) -> tuple[dict[str, WorkloadSpec], dict[str, str]]:
-    """Study specs and their burstiness labels, keyed by abbreviation."""
+    """Study specs and their burstiness labels, keyed by abbreviation.
+
+    ``quick`` keeps one bursty and one steady workload.
+    """
     bursty = BURSTY_WORKLOADS[:1] if quick else BURSTY_WORKLOADS
     steady = STEADY_WORKLOADS[:1] if quick else STEADY_WORKLOADS
     specs: dict[str, WorkloadSpec] = {}
     shape: dict[str, str] = {}
     for label, table in (("bursty", bursty), ("steady", steady)):
         for abbr, total_ctas, kernels in table:
-            specs[abbr] = study_spec(abbr, total_ctas, kernels)
+            specs[abbr] = shrunken_spec(abbr, total_ctas, kernels)
             shape[abbr] = label
     return specs, shape
 
 
-def run(
-    runner: SweepRunner | None = None,
-    governors: tuple[str, ...] = STUDY_GOVERNORS,
-    quick: bool = False,
-) -> IdleStudyResult:
-    """Execute (or fetch from cache) the idle study.
+IDLE_STUDY = GovernorStudy(
+    title="Idle study",
+    name="idle-study",
+    governors=STUDY_GOVERNORS,
+    workloads=_workload_table,
+    note=(
+        "EDPSE baseline: 1 GPM, anchor clock, no gating."
+        " bursty = straggler wave (33 CTAs on 8 GPMs);"
+        " steady = balanced waves.  Race-to-idle beats the"
+        " utilization governor on bursty shapes (the gated"
+        " straggler gap pays for the sprint) and loses on"
+        " steady ones (nothing to gate, V^2 premium only)."
+    ),
+)
 
-    ``quick`` shrinks the grid to one bursty and one steady workload under
-    the static/utilization/race-to-idle trio — the CI smoke shape.
-
-    The deadline-paced variant runs in a second batch: its per-workload
-    deadline is the race-to-idle runtime times :data:`DEADLINE_SLACK`,
-    which keeps the derived configuration a deterministic function of
-    cached results (same inputs, same deadline, same cache key).
-    """
-    unknown = [g for g in governors if g not in STUDY_GOVERNORS]
-    if unknown:
-        raise ExperimentError(
-            f"unknown idle-study governors {unknown};"
-            f" known: {list(STUDY_GOVERNORS)}"
-        )
-    if quick:
-        governors = tuple(
-            g
-            for g in governors
-            if g in ("static", "utilization", "race-to-idle")
-        )
-    if "deadline-paced" in governors and "race-to-idle" not in governors:
-        raise ExperimentError(
-            "the deadline-paced variant derives its deadline from the"
-            " race-to-idle runtime; run both or neither"
-        )
-    runner = runner or SweepRunner()
-    specs, shape = _workload_table(quick)
-
-    first_batch = [g for g in governors if g != "deadline-paced"]
-    configs = {g: governed_config(g) for g in first_batch}
-    baseline = baseline_config()
-    pairs = [(spec, baseline) for spec in specs.values()]
-    pairs += [
-        (spec, config)
-        for config in configs.values()
-        for spec in specs.values()
-    ]
-    by_key = {
-        (record.workload, record.config_label): record
-        for record in runner.run(pairs)
-    }
-
-    result = IdleStudyResult(
-        records={
-            g: {
-                abbr: by_key[(abbr, configs[g].label())]
-                for abbr in specs
-            }
-            for g in first_batch
-        },
-        baseline={
-            abbr: by_key[(abbr, baseline.label())] for abbr in specs
-        },
-        shape=shape,
-    )
-
-    if "deadline-paced" in governors:
-        race = result.records["race-to-idle"]
-        result.deadlines = {
-            abbr: race[abbr].counters.elapsed_cycles * DEADLINE_SLACK
-            for abbr in specs
-        }
-        paced_configs = {
-            abbr: governed_config(
-                "deadline-paced", deadline_cycles=result.deadlines[abbr]
-            )
-            for abbr in specs
-        }
-        paced_records = {
-            (record.workload, record.config_label): record
-            for record in runner.run(
-                [(specs[abbr], paced_configs[abbr]) for abbr in specs]
-            )
-        }
-        result.records["deadline-paced"] = {
-            abbr: paced_records[(abbr, paced_configs[abbr].label())]
-            for abbr in specs
-        }
-
-    baseline_edp = {}
-    for abbr in specs:
-        record = result.baseline[abbr]
-        energy = record.energy(priced_params(baseline, record))
-        baseline_edp[abbr] = energy.total * record.seconds
-
-    for governor, records in result.records.items():
-        result.edpse[governor] = {}
-        result.energy_j[governor] = {}
-        result.seconds[governor] = {}
-        result.slept[governor] = {}
-        for abbr, record in records.items():
-            if governor == "deadline-paced":
-                config = paced_configs[abbr]
-            else:
-                config = configs[governor]
-            energy = record.energy(priced_params(config, record))
-            edp = energy.total * record.seconds
-            result.edpse[governor][abbr] = (
-                baseline_edp[abbr] * 100.0 / (STUDY_GPM_COUNT * edp)
-            )
-            result.energy_j[governor][abbr] = energy.total
-            result.seconds[governor][abbr] = record.seconds
-            result.slept[governor][abbr] = sleep_fraction(record)
-    return result
+#: ``run(runner, governors, quick)``: see :meth:`GovernorStudy.run`.
+run = IDLE_STUDY.run

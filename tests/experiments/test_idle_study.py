@@ -8,6 +8,8 @@ won would mean the pricing ignores the sprint's V² premium, and one that
 always lost would mean the gated cycles are not actually being priced out.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -72,6 +74,10 @@ class TestDeadlinePhase:
 
 
 class TestResultSurface:
+    def test_full_tier_matches_the_committed_log(self, study):
+        committed = Path(__file__).parents[2] / "results" / "idle_study.txt"
+        assert study.render() + "\n" == committed.read_text()
+
     def test_render_contains_headline_tables(self, study):
         text = study.render()
         assert "Idle study: EDPSE (%)" in text

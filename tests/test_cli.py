@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import _EXPERIMENTS, _SUBCOMMANDS, main
+from repro.experiments import idle_study
+from repro.experiments.runner import SweepRunner, SweepSettings
 
 
 class TestRegistry:
@@ -34,12 +37,50 @@ class TestArguments:
         assert "experiment" in out
         assert "--no-cache" in out
 
+    def test_all_runs_in_registry_order(self, capsys, monkeypatch):
+        calls = []
+
+        class _Rendered:
+            def render(self):
+                return ""
+
+        def fake(name):
+            def run(runner):
+                calls.append(name)
+                return _Rendered()
+
+            return cli._Experiment(run)
+
+        monkeypatch.setattr(
+            cli, "_EXPERIMENTS", {name: fake(name) for name in _EXPERIMENTS}
+        )
+        assert main(["all"]) == 0
+        # DESIGN.md's experiment index first, then the extensions.
+        assert calls[:11] == [
+            "table1b", "fig2", "fig4", "fig6", "fig7", "fig8", "fig9",
+            "fig10", "interconnect-energy", "amortization", "headline",
+        ]
+        assert calls == list(_EXPERIMENTS)
+
     def test_multiple_experiments_accepted(self, capsys):
         # 'tables' needs no simulation, so running it twice (deduplicated)
         # exercises the multi-experiment path cheaply.
         assert main(["tables", "tables"]) == 0
         out = capsys.readouterr().out
         assert out.count("Table III: simulated multi-module GPU") == 1
+
+
+class TestExperimentOut:
+    def test_idle_quick_out_writes_the_rendered_tables(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        out = tmp_path / "idle.txt"
+        assert main(["idle", "--quick", "--out", str(out)]) == 0
+        runner = SweepRunner(SweepSettings(cache_dir=tmp_path / "cache"))
+        expected = idle_study.run(runner, quick=True).render() + "\n"
+        assert out.read_text() == expected
+        assert f"wrote {out}" in capsys.readouterr().out
 
 
 class TestDvfsSubcommand:
@@ -156,9 +197,14 @@ class TestUnifiedErrorHandling:
                 ["profile", "Stream", "--gpms", "4", "--ctas", "16",
                  "--residual", "-0.1"],
             ),
-            ("capsweep", ["capsweep", "--quick", "--processes", "0"]),
+            ("capping", ["capping", "--quick", "--processes", "0"]),
             ("figures", ["figures", "--quick", "--processes", "0"]),
             ("sweetspot", ["sweetspot", "--processes", "0"]),
+            # Shared experiment flags on an experiment that does not take
+            # them, and --out with more than one experiment.
+            ("tables", ["tables", "--quick"]),
+            ("sweetspot", ["sweetspot", "--governor", "race-to-idle"]),
+            ("tables", ["tables", "table1b", "--out", "tables.txt"]),
         ],
     )
     def test_config_errors_are_one_line_exit_2(self, capsys, name, argv):
