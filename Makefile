@@ -29,8 +29,9 @@ perf-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro bench --quick \
 	  --out .cache/BENCH_sim.json --check BENCH_sim.json --tolerance 0.2
 
-# Differential suite: the production cache model against its reference
-# oracle, and idle-off runs against the pre-idle simulator, both bit-exact.
+# Differential suite, all bit-exact: the production cache model against its
+# reference oracle, idle-off runs against the pre-idle simulator, and the
+# warp/CTA-slot callback chains against generator-process reference bodies.
 differential:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/differential -q
 

@@ -74,12 +74,6 @@ class CounterSet:
         """Record ``count`` dynamic executions of ``opcode``."""
         self.instructions[opcode] = self.instructions.get(opcode, 0) + count
 
-    def count_compute_map(self, compute: dict[Opcode, int]) -> None:
-        """Record a segment's aggregate compute counts."""
-        instructions = self.instructions
-        for opcode, count in compute.items():
-            instructions[opcode] = instructions.get(opcode, 0) + count
-
     @property
     def total_instructions(self) -> int:
         return sum(self.instructions.values())
@@ -175,3 +169,39 @@ class CounterSet:
         result.dirty_writebacks = int(round(self.dirty_writebacks * factor))
         result.per_gpm = tuple(shard.scaled(factor) for shard in self.per_gpm)
         return result
+
+
+class ComputeTally:
+    """Segments executed per compute map, folded into instructions at the end.
+
+    A warp executing a segment records the segment's ``{opcode: count}`` map
+    by identity — one dict update per segment instead of one per opcode, and
+    no opcode hashing on the hot path (the generators share one map across a
+    kernel's segments).  :meth:`fold_into` then adds ``count * segments`` per
+    opcode, visiting maps in first-seen order and each map in its own order,
+    so ``instructions`` gains its keys in exactly the order per-segment
+    counting would have added them (the energy sums iterate that dict).
+    Each entry holds its map, so a live id is never reused by another map.
+    """
+
+    __slots__ = ("entries",)
+
+    def __init__(self) -> None:
+        #: ``id(compute) -> [compute, segments]``, in first-seen order.
+        self.entries: dict[int, list] = {}
+
+    def add(self, compute: dict[Opcode, int]) -> None:
+        """Record one executed segment with compute counts ``compute``."""
+        entry = self.entries.get(id(compute))
+        if entry is None:
+            self.entries[id(compute)] = [compute, 1]
+        else:
+            entry[1] += 1
+
+    def fold_into(self, counters: CounterSet) -> None:
+        """Add every tallied segment to ``counters.instructions``; reset."""
+        instructions = counters.instructions
+        for compute, segments in self.entries.values():
+            for opcode, count in compute.items():
+                instructions[opcode] = instructions.get(opcode, 0) + count * segments
+        self.entries.clear()

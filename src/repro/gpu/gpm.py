@@ -17,7 +17,7 @@ from dataclasses import replace
 from repro.dvfs.config import DomainScales, IDENTITY_SCALES
 from repro.dvfs.operating_point import OperatingPoint, VfCurve
 from repro.gpu.config import GpmConfig
-from repro.gpu.counters import CounterSet
+from repro.gpu.counters import ComputeTally, CounterSet
 from repro.isa.kernel import Kernel
 from repro.memory.dram import DramChannel
 from repro.memory.hierarchy import GpmMemory, HierarchyLatencies
@@ -66,6 +66,9 @@ class Gpm:
             counters=counters,
             latencies=self._scaled_latencies(scales.core_freq),
         )
+        #: Segments executed by this module's warps, by compute map; folded
+        #: into ``counters.instructions`` when the run ends.
+        self.compute_tally = ComputeTally()
         self.sms = [
             SmCore(
                 engine=engine,
@@ -75,6 +78,7 @@ class Gpm:
                 issue_rate=config.issue_rate * scales.core_freq,
                 memory=self.memory,
                 counters=counters,
+                compute_tally=self.compute_tally,
             )
             for local in range(config.num_sms)
         ]

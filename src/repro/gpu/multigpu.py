@@ -399,6 +399,7 @@ class MultiGpu:
         elapsed = self.engine.now
         counters = self.counters
         for gpm, shard in zip(self.gpms, counters.per_gpm):
+            gpm.compute_tally.fold_into(shard)
             shard.elapsed_cycles = elapsed
             shard.sm_busy_cycles = gpm.busy_cycles()
             shard.sm_idle_cycles = gpm.idle_cycles(elapsed)

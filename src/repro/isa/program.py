@@ -11,17 +11,37 @@ segment is the MLP the warp exposes.
 Segments keep *aggregate* compute counts (``{opcode: count}``) rather than
 instruction lists, so a warp advances in O(1) events per segment instead of
 per instruction — the key to simulating 32-GPM systems in pure Python.
+
+A segment's accesses are *access tokens*: plain ints, one per cache line a
+global access touches (one per shared access), packed as
+``line_address | store | shared << 1``.  The memory path walks a segment's
+tokens without an object per access.  :class:`MemAccess` survives only as
+the literal, readable input to ``Segment(...)``, which packs it
+(:func:`pack_access`); :func:`decode_token` turns a token back into fields.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.errors import TraceError
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import MemSpace, Opcode
+from repro.units import CACHE_LINE_BYTES
+
+#: Token flag bits, below the line-aligned address.
+STORE_FLAG: int = 1
+SHARED_FLAG: int = 2
+#: ``token & ADDRESS_MASK`` is the token's line-aligned address.
+ADDRESS_MASK: int = -CACHE_LINE_BYTES
+
+#: Shared-memory tokens keep the scratchpad offset ``address % 64 KiB``,
+#: aligned down to its line; no timing or count depends on it.
+SHARED_SPACE_BYTES: int = 64 * 1024
 
 
 class MemAccess:
-    """One coalesced warp-level memory access.
+    """One coalesced warp-level memory access, as literal program input.
 
     Attributes:
         address: byte address (the hierarchy aligns it to its line size).
@@ -30,8 +50,8 @@ class MemAccess:
         space: GLOBAL accesses traverse L1/L2/DRAM; SHARED accesses hit the
             on-SM scratchpad and never leave the SM.
 
-    A plain slotted class rather than a dataclass: the generators construct
-    one per access in the simulator's hot path.
+    ``Segment(...)`` packs each access into tokens; simulation never sees
+    the object itself.
     """
 
     __slots__ = ("address", "size", "is_store", "space")
@@ -52,19 +72,6 @@ class MemAccess:
         self.is_store = is_store
         self.space = space
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MemAccess):
-            return NotImplemented
-        return (
-            self.address == other.address
-            and self.size == other.size
-            and self.is_store == other.is_store
-            and self.space == other.space
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.address, self.size, self.is_store, self.space))
-
     def __repr__(self) -> str:
         return (
             f"MemAccess(address={self.address!r}, size={self.size!r},"
@@ -72,15 +79,57 @@ class MemAccess:
         )
 
 
+def pack_access(access: MemAccess) -> tuple[int, ...]:
+    """The tokens of one warp access: one per line touched, in address order.
+
+    A shared access is one token whatever its size: the scratchpad moves it
+    as a single shared->RF transaction.
+    """
+    store = STORE_FLAG if access.is_store else 0
+    if access.space is MemSpace.SHARED:
+        offset = (access.address % SHARED_SPACE_BYTES) & ADDRESS_MASK
+        return (offset | SHARED_FLAG | store,)
+    first = access.address // CACHE_LINE_BYTES
+    last = (access.address + access.size - 1) // CACHE_LINE_BYTES
+    return tuple(
+        line * CACHE_LINE_BYTES | store for line in range(first, last + 1)
+    )
+
+
+class TokenFields(NamedTuple):
+    """The readable fields of one access token."""
+
+    address: int
+    is_store: bool
+    space: MemSpace
+
+
+def decode_token(token: int) -> TokenFields:
+    """Unpack an access token (diagnostics and tests; never on a hot path)."""
+    return TokenFields(
+        address=token & ADDRESS_MASK,
+        is_store=bool(token & STORE_FLAG),
+        space=MemSpace.SHARED if token & SHARED_FLAG else MemSpace.GLOBAL,
+    )
+
+
 class Segment:
     """A run of compute work followed by a barrier-ed group of memory accesses.
 
-    ``issue_slots`` (issue-stage occupancy, including one slot per memory op)
-    and ``total_instructions`` are computed once at construction — segments
-    are created in the simulator's hot path and consumed exactly once.
+    ``accesses`` holds the segment's access tokens.  ``warp_accesses`` counts
+    the warp-level accesses they came from; an unaligned literal access
+    spanning two lines is one warp access but two tokens.  ``issue_slots``
+    (issue-stage occupancy, one slot per warp access) and
+    ``total_instructions`` are computed once at construction.
     """
 
-    __slots__ = ("compute", "accesses", "issue_slots", "total_instructions")
+    __slots__ = (
+        "compute",
+        "accesses",
+        "warp_accesses",
+        "issue_slots",
+        "total_instructions",
+    )
 
     def __init__(
         self,
@@ -88,7 +137,11 @@ class Segment:
         accesses: tuple[MemAccess, ...] = (),
     ):
         self.compute = compute if compute is not None else {}
-        self.accesses = accesses
+        tokens: list[int] = []
+        for access in accesses:
+            tokens.extend(pack_access(access))
+        self.accesses = tuple(tokens)
+        self.warp_accesses = len(accesses)
         slots = 0.0
         instructions = 0
         for opcode, count in self.compute.items():
@@ -110,19 +163,22 @@ class Segment:
     def prebuilt(
         cls,
         compute: dict[Opcode, int],
-        accesses: tuple[MemAccess, ...],
+        accesses: tuple[int, ...],
         issue_slots: float,
         total_instructions: int,
     ) -> "Segment":
         """Hot-path constructor for pre-validated, pre-aggregated parts.
 
-        The workload generators validate their compute mix once per kernel
-        and reuse the aggregate costs for every segment; re-deriving them per
-        segment would dominate program materialization.
+        ``accesses`` are tokens, one per warp access (the generators emit
+        only aligned single-line accesses).  The workload generators
+        validate their compute mix once per kernel and reuse the aggregate
+        costs for every segment; re-deriving them per segment would dominate
+        program materialization.
         """
         segment = object.__new__(cls)
         segment.compute = compute
         segment.accesses = accesses
+        segment.warp_accesses = len(accesses)
         segment.issue_slots = issue_slots
         segment.total_instructions = total_instructions
         return segment
@@ -130,12 +186,12 @@ class Segment:
     @property
     def compute_instructions(self) -> int:
         """Total compute instructions in the segment."""
-        return self.total_instructions - len(self.accesses)
+        return self.total_instructions - self.warp_accesses
 
     def __repr__(self) -> str:
         return (
             f"Segment({self.compute_instructions} compute,"
-            f" {len(self.accesses)} accesses)"
+            f" {self.warp_accesses} accesses)"
         )
 
 
@@ -161,7 +217,7 @@ class WarpProgram:
 
     @property
     def total_accesses(self) -> int:
-        return sum(len(segment.accesses) for segment in self.segments)
+        return sum(segment.warp_accesses for segment in self.segments)
 
     @classmethod
     def from_instructions(cls, instructions: list[Instruction]) -> "WarpProgram":

@@ -1,6 +1,8 @@
 """Per-GPM memory path: L1s, module L2, local DRAM, and remote access routing.
 
-This module implements the complete access flow for one GPM:
+This module implements the complete access flow for one GPM.  A warp hands
+:meth:`GpmMemory.access` a whole segment's access tokens (one per line; see
+:mod:`repro.isa.program`) in one call:
 
 * **Shared memory** accesses hit the on-SM scratchpad: one 128 B shared->RF
   transaction, fixed latency, never leave the SM.
@@ -33,13 +35,13 @@ the cost of neither a generator nor a process object per leg.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.gpu.counters import CounterSet
 from repro.interconnect.topology import Topology
-from repro.isa.opcodes import MemSpace
-from repro.isa.program import MemAccess
+from repro.isa.program import ADDRESS_MASK, SHARED_FLAG, STORE_FLAG
 from repro.memory.cache import Cache, CacheConfig
 from repro.memory.dram import DramChannel
 from repro.memory.pages import PagePlacement
@@ -48,10 +50,6 @@ from repro.units import CACHE_LINE_BYTES, SECTORS_PER_LINE
 
 #: Size of a request header message on the inter-GPM network (bytes).
 REQUEST_HEADER_BYTES: int = 32
-
-#: Shared empty pending-event container for accesses with no remote legs —
-#: the overwhelmingly common case, not worth a fresh list per access.
-_NO_EVENTS: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -127,55 +125,43 @@ class GpmMemory:
         self.topology: Topology | None = None
         self.peers: list["GpmMemory"] = []
 
-    # ------------------------------------------------------------------ helpers
-
-    def _lines_touched(self, access: MemAccess) -> range:
-        first = access.address // CACHE_LINE_BYTES
-        last = (access.address + access.size - 1) // CACHE_LINE_BYTES
-        return range(first, last + 1)
-
     # ------------------------------------------------------------------ access
 
     def access(
-        self, sm_index: int, access: MemAccess, earliest: float
-    ) -> "tuple[float, tuple[Event, ...] | list[Event]]":
-        """Perform one warp-level access.
+        self,
+        sm_index: int,
+        tokens: tuple[int, ...],
+        earliest: float,
+        pending: list[Event],
+    ) -> float:
+        """Issue one segment's access tokens, all at ``earliest``.
 
-        Returns ``(completion_time, pending_events)``: the analytic completion
-        bound for local stages plus done-events of any remote loads the
-        access started (an immutable, possibly shared, empty container
-        when there are none — callers must not mutate it).  Stores complete
-        when their data leaves the SM (the warp does not wait for downstream
-        drain); loads complete on data arrival.
+        Walks the tokens in order (see :mod:`repro.isa.program` for the
+        packing) and returns the analytic completion bound over the local
+        stages, never below ``earliest``.  Every remote load the segment
+        starts appends its done-event to ``pending``; the warp must also
+        wait on those.  Stores complete when their data leaves the SM (the
+        warp does not wait for downstream drain); loads complete on data
+        arrival.
         """
-        if access.space is MemSpace.SHARED:
-            self.counters.shared_rf_txns += 1
-            return earliest + self.latencies.shared, _NO_EVENTS
-
-        if access.size <= CACHE_LINE_BYTES and access.address % CACHE_LINE_BYTES == 0:
-            # Fast path: one aligned line (how the generators emit accesses).
-            done = self._access_line(
-                sm_index, access.address, access.is_store, earliest
-            )
-            if done.__class__ is Event:
-                return earliest, (done,)
-            return done, _NO_EVENTS
-
         completion = earliest
-        events: list[Event] = []
-        for line_index in self._lines_touched(access):
-            line_address = line_index * CACHE_LINE_BYTES
-            done = self._access_line(
-                sm_index, line_address, access.is_store, earliest
-            )
-            if isinstance(done, Event):
-                events.append(done)
-            elif done > completion:
+        for token in tokens:
+            if token & SHARED_FLAG:
+                self.counters.shared_rf_txns += 1
+                done = earliest + self.latencies.shared
+            else:
+                done = self._access_line(
+                    sm_index, token & ADDRESS_MASK, token & STORE_FLAG, earliest
+                )
+                if done.__class__ is Event:
+                    pending.append(done)
+                    continue
+            if done > completion:
                 completion = done
-        return completion, events
+        return completion
 
     def _access_line(
-        self, sm_index: int, line_address: int, is_store: bool, earliest: float
+        self, sm_index: int, line_address: int, is_store: int, earliest: float
     ) -> "float | Event":
         counters = self.counters
         counters.l1_rf_txns += 1
@@ -261,9 +247,15 @@ class GpmMemory:
         return self.topology
 
     def connect(self, topology: Topology | None, peers: list["GpmMemory"]) -> None:
-        """Late wiring of the interconnect and peer GPM memories."""
+        """Late wiring of the interconnect and peer GPM memories.
+
+        Peers are held through weak proxies: the list includes this memory
+        and every GPM shares it, so strong references would tie all of a
+        finished run's memories (and their tag stores) into one cycle that
+        only a full garbage collection frees.
+        """
         self.topology = topology
-        self.peers = peers
+        self.peers = [weakref.proxy(peer) for peer in peers]
 
 
 class _RemoteLoad:

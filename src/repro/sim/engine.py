@@ -15,15 +15,24 @@ resumed when the command completes:
     Resume when every listed event has succeeded.
 
 Resources (see :mod:`repro.sim.resources`) return absolute completion times;
-processes convert those into timeouts via :meth:`Engine.wait_until`.  Short
-fixed-stage flows that need no coroutine state use :meth:`Engine.call_at`
-instead: it queues a plain callback exactly where ``wait_until`` would queue
-the process's resumption, without a generator or a done-event per flow.
+processes convert those into timeouts via :meth:`Engine.wait_until`.
+
+Processes are the slow, general form.  Only the workload driver and each
+GPM's kernel share run as processes.  The flows that make nearly every
+event — warps and CTA slots (:mod:`repro.sm`) and remote memory legs
+(:mod:`repro.memory.hierarchy`) — are *callback chains*: slotted state
+machines whose every step is a plain callback, queued exactly where a
+process making the same wait would be resumed (now queue for a spawn, a
+zero delay or an already-triggered event; a heap entry at
+``now + (when - now)`` for a timeout; a counting barrier for several
+events).  :meth:`Engine.call_at` is the timeout half of that contract.  The
+chains dispatch in the same order as the processes they replace, without a
+generator, a :class:`Process` or a done-event per flow.
 
 The design trades generality for speed: there is no process interruption, no
 event cancellation, and no priority levels — none of which the GPU model
-needs — so the hot path is a heap pop (or deque pop) plus a generator
-``send``.  Three structural optimizations keep the per-event cost low:
+needs — so the hot path is a heap pop (or deque pop) plus a callback.  Three
+structural optimizations keep the per-event cost low:
 
 * **Now queue.**  Zero-delay work — process starts, ``Event.succeed``
   fan-out, waits on already-triggered events — goes through a plain deque

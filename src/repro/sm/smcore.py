@@ -1,4 +1,4 @@
-"""The SM core: issue bandwidth, memory port, and utilization accounting.
+"""The SM core: issue bandwidth, compute tally, and utilization accounting.
 
 The SM's scarce resource in this model is *issue bandwidth*: a
 :class:`~repro.sim.resources.ThroughputServer` serving issue-slot units at a
@@ -17,8 +17,7 @@ the SM had no work at all, the load-imbalance case at high GPM counts).
 from __future__ import annotations
 
 from repro.errors import ConfigError
-from repro.gpu.counters import CounterSet
-from repro.isa.program import MemAccess
+from repro.gpu.counters import ComputeTally, CounterSet
 from repro.memory.hierarchy import GpmMemory
 from repro.sim.engine import Engine
 from repro.sim.resources import ThroughputServer
@@ -35,6 +34,7 @@ class SmCore:
         "issue",
         "memory",
         "counters",
+        "compute_tally",
         "ctas_retired",
     )
 
@@ -47,6 +47,7 @@ class SmCore:
         issue_rate: float,
         memory: GpmMemory,
         counters: CounterSet,
+        compute_tally: ComputeTally | None = None,
     ):
         if issue_rate <= 0:
             raise ConfigError(f"SM issue rate must be positive, got {issue_rate}")
@@ -57,18 +58,13 @@ class SmCore:
         self.issue = ThroughputServer(engine, issue_rate, name=f"sm{sm_id}.issue")
         self.memory = memory
         self.counters = counters
+        # Warps tally executed segments here; the owner folds the tally into
+        # ``counters.instructions`` at the end of the run.  A GPM's SMs share
+        # one tally, so first-seen order spans the whole module.
+        self.compute_tally = (
+            compute_tally if compute_tally is not None else ComputeTally()
+        )
         self.ctas_retired = 0
-
-    def memory_access(
-        self, access: MemAccess, earliest: float
-    ) -> "tuple[float, tuple | list]":
-        """Route one warp access through this SM's L1 and the GPM hierarchy.
-
-        Returns the analytic completion bound plus any remote-path completion
-        events the warp must additionally wait on (a shared immutable empty
-        container when there are none).
-        """
-        return self.memory.access(self.local_index, access, earliest)
 
     def busy_cycles(self) -> float:
         """Cycles the issue stage spent serving instructions so far."""

@@ -27,10 +27,10 @@ import numpy as np
 
 from repro.errors import TraceError
 from repro.isa.kernel import Kernel, Workload
-from repro.isa.opcodes import MemSpace, Opcode
-from repro.isa.program import MemAccess, Segment, WarpProgram
+from repro.isa.opcodes import Opcode
+from repro.isa.program import SHARED_FLAG, SHARED_SPACE_BYTES, Segment, WarpProgram
 from repro.units import CACHE_LINE_BYTES, PAGE_BYTES
-from repro.workloads.patterns import mix_key, splitmix64_array
+from repro.workloads.patterns import splitmix64_array, warp_keys
 from repro.workloads.spec import WorkloadSpec
 
 _U64 = float(1 << 64)
@@ -132,24 +132,17 @@ class WarpProgramBuilder:
         self._chunks: dict[int, list[list[WarpProgram]]] = {}
 
     def _synthesize(self, cta_lo: int, cta_hi: int):
-        """Vectorized address/flag synthesis for a run of consecutive CTAs.
+        """Vectorized access-token synthesis for a run of consecutive CTAs.
 
-        Returns (addresses, is_store, is_lds) aligned arrays of shape
-        ``(cta_hi - cta_lo, warps_per_cta, segments * accesses)``.
+        Returns the packed tokens (see :mod:`repro.isa.program`) as an
+        array of shape ``(cta_hi - cta_lo, warps_per_cta, segments *
+        accesses)``.
         """
         spec = self.spec
         num = cta_hi - cta_lo
-        warps = spec.warps_per_cta
-        seed = spec.seed
-        kernel = self.kernel_index
-        keys = np.array(
-            [
-                mix_key(seed, kernel, cta_id, warp_id)
-                for cta_id in range(cta_lo, cta_hi)
-                for warp_id in range(warps)
-            ],
-            dtype=np.uint64,
-        ).reshape(num, warps, 1)
+        keys = warp_keys(
+            spec.seed, self.kernel_index, cta_lo, cta_hi, spec.warps_per_cta
+        ).reshape(num, spec.warps_per_cta, 1)
         lane = splitmix64_array(keys ^ self._lane_mix)
         pick = splitmix64_array(lane)
         store_key = splitmix64_array(lane ^ np.uint64(0x5A5A5A5A5A5A5A5A))
@@ -204,61 +197,37 @@ class WarpProgramBuilder:
         )
         is_store = (store_key < self._t_store) & (pick < self._t_stream)
         is_lds = lds_key < self._t_lds
-        return addresses, is_store, is_lds
+        # Global: line address | store.  Shared: the scratchpad offset
+        # (address % 64 KiB) | the shared flag, never a store.
+        return np.where(
+            is_lds,
+            (addresses % np.uint64(SHARED_SPACE_BYTES)) | np.uint64(SHARED_FLAG),
+            addresses | is_store.astype(np.uint64),
+        )
 
     def _build_chunk(self, start: int) -> list[list[WarpProgram]]:
         """Materialize programs for CTAs ``[start, start + CHUNK_CTAS)``."""
         spec = self.spec
         end = min(start + self.CHUNK_CTAS, spec.total_ctas)
-        addresses, is_store, is_lds = self._synthesize(start, end)
-        addr_list = addresses.tolist()
-        store_list = is_store.tolist()
-        lds_list = is_lds.tolist()
+        tokens = self._synthesize(start, end).tolist()
         segs = spec.segments_per_warp
         acc = spec.accesses_per_segment
-        warps = spec.warps_per_cta
         compute = self._compute_counts
         slots = self._segment_slots
         instructions = self._segment_instructions
         prebuilt = Segment.prebuilt
-        shared = MemSpace.SHARED
-        chunk: list[list[WarpProgram]] = []
-        for cta_offset in range(end - start):
-            cta_addr = addr_list[cta_offset]
-            cta_store = store_list[cta_offset]
-            cta_lds = lds_list[cta_offset]
-            programs: list[WarpProgram] = []
-            for warp in range(warps):
-                addr_row = cta_addr[warp]
-                store_row = cta_store[warp]
-                lds_row = cta_lds[warp]
-                index = 0
-                segments: list[Segment] = []
-                for _segment in range(segs):
-                    accesses = []
-                    append = accesses.append
-                    for _slot in range(acc):
-                        if lds_row[index]:
-                            append(
-                                MemAccess(
-                                    addr_row[index] % (64 * 1024),
-                                    _LINE,
-                                    space=shared,
-                                )
-                            )
-                        else:
-                            append(
-                                MemAccess(
-                                    addr_row[index], _LINE, store_row[index]
-                                )
-                            )
-                        index += 1
-                    segments.append(
-                        prebuilt(compute, tuple(accesses), slots, instructions)
+        return [
+            [
+                WarpProgram([
+                    prebuilt(
+                        compute, tuple(row[lo:lo + acc]), slots, instructions
                     )
-                programs.append(WarpProgram(segments))
-            chunk.append(programs)
-        return chunk
+                    for lo in range(0, segs * acc, acc)
+                ])
+                for row in cta_rows
+            ]
+            for cta_rows in tokens
+        ]
 
     def _cta_programs(self, cta_id: int) -> list[WarpProgram]:
         start = cta_id - cta_id % self.CHUNK_CTAS

@@ -85,6 +85,25 @@ def splitmix64_array(states: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def warp_keys(
+    seed: int, kernel: int, cta_lo: int, cta_hi: int, warps: int
+) -> np.ndarray:
+    """``mix_key(seed, kernel, cta, warp)`` over a block of CTAs and warps.
+
+    Returns a uint64 array of shape ``(cta_hi - cta_lo, warps)``.  The key
+    is folded one part at a time, so the scalar ``(seed, kernel)`` prefix is
+    mixed once, then one SplitMix64 pass runs over the CTAs and one over
+    every (CTA, warp) pair — bit-identical to the scalar fold.
+    """
+    ctas = splitmix64_array(
+        np.uint64(mix_key(seed, kernel))
+        ^ np.arange(cta_lo, cta_hi, dtype=np.uint64)
+    )
+    return splitmix64_array(
+        ctas.reshape(-1, 1) ^ np.arange(warps, dtype=np.uint64).reshape(1, -1)
+    )
+
+
 def uniform_indices(keys: np.ndarray, n: int) -> np.ndarray:
     """Vectorized map of 64-bit keys to uniform indices in [0, n).
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gpu.counters import CounterSet
+from repro.gpu.counters import ComputeTally, CounterSet
 from repro.isa.opcodes import Opcode
 
 
@@ -40,10 +40,31 @@ class TestCounting:
 
     def test_compute_map(self):
         counters = CounterSet()
-        counters.count_compute_map({Opcode.FADD32: 4, Opcode.IADD32: 6})
-        counters.count_compute_map({Opcode.FADD32: 1})
+        tally = ComputeTally()
+        tally.add({Opcode.FADD32: 4, Opcode.IADD32: 6})
+        tally.add({Opcode.FADD32: 1})
+        tally.fold_into(counters)
         assert counters.instructions[Opcode.FADD32] == 5
         assert counters.total_instructions == 11
+
+    def test_tally_matches_per_segment_counting(self):
+        """Folding a tally gives the counts and the key order that adding
+        each segment's map in execution order gives."""
+        shared = {Opcode.FFMA32: 3, Opcode.FADD64: 1}
+        other = {Opcode.IADD32: 2, Opcode.FFMA32: 1}
+        executed = [shared, other, shared, {Opcode.SIN32: 1}, shared, other]
+        expected = CounterSet()
+        for compute in executed:
+            for opcode, count in compute.items():
+                expected.count_instruction(opcode, count)
+        tally = ComputeTally()
+        for compute in executed:
+            tally.add(compute)
+        counters = CounterSet()
+        tally.fold_into(counters)
+        assert counters.instructions == expected.instructions
+        assert list(counters.instructions) == list(expected.instructions)
+        assert tally.entries == {}
 
     def test_derived_rates(self):
         counters = sample_counters()

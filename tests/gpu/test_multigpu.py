@@ -1,5 +1,8 @@
 """Multi-GPM assembly and workload driver integration."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.gpu.config import TopologyKind
@@ -108,3 +111,37 @@ class TestSimulatorFacade:
         first = simulator.run(tiny_workload())
         second = simulator.run(tiny_workload())
         assert first.cycles == second.cycles
+
+
+class TestRunLifetime:
+    def test_finished_run_is_freed_without_the_cycle_collector(self, monkeypatch):
+        """Reference counting alone frees a finished run: the GPM memories
+        (peers), the CTA schedulers (pooled warps hold their slot only while
+        running) and the MultiGpu itself, so no tag store waits for a
+        generation-2 collection."""
+        from repro.tools.regen_goldens import GOLDEN_CONFIGS, GOLDEN_SPECS
+        from repro.workloads.generator import build_workload
+
+        refs = []
+        construct = MultiGpu.__init__
+
+        def tracking_init(gpu, *args, **kwargs):
+            construct(gpu, *args, **kwargs)
+            refs.append(weakref.ref(gpu))
+            for gpm in gpu.gpms:
+                refs.append(weakref.ref(gpm.memory))
+                refs.append(weakref.ref(gpm.scheduler))
+
+        monkeypatch.setattr(MultiGpu, "__init__", tracking_init)
+        # Remote loads and stores on a ring exercise every cross-GPM link.
+        workload = build_workload(GOLDEN_SPECS["shared-micro"])
+        gc.collect()
+        gc.disable()
+        try:
+            result = simulate(workload, GOLDEN_CONFIGS["4gpm-ring"])
+            alive = [ref() for ref in refs if ref() is not None]
+        finally:
+            gc.enable()
+        assert result.counters.remote_accesses > 0
+        assert len(refs) == 1 + 2 * 4
+        assert alive == []

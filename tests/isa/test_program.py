@@ -5,7 +5,7 @@ import pytest
 from repro.errors import TraceError
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import MemSpace, Opcode
-from repro.isa.program import MemAccess, Segment, WarpProgram
+from repro.isa.program import MemAccess, Segment, WarpProgram, decode_token
 
 
 class TestMemAccess:
@@ -24,6 +24,25 @@ class TestMemAccess:
 
 
 class TestSegment:
+    def test_access_tokens_one_per_line_counted_per_warp_access(self):
+        segment = Segment(
+            compute={Opcode.FFMA32: 2},
+            accesses=(
+                MemAccess(address=64, size=128, is_store=True),  # two lines
+                MemAccess(address=0x30000 + 200, size=128, space=MemSpace.SHARED),
+            ),
+        )
+        fields = [decode_token(token) for token in segment.accesses]
+        assert [(f.address, f.is_store, f.space) for f in fields] == [
+            (0, True, MemSpace.GLOBAL),
+            (128, True, MemSpace.GLOBAL),
+            (128, False, MemSpace.SHARED),  # 0x30000 + 200 mod 64 KiB, line-aligned
+        ]
+        assert segment.warp_accesses == 2
+        assert segment.issue_slots == pytest.approx(4.0)
+        assert segment.total_instructions == 4
+        assert segment.compute_instructions == 2
+
     def test_issue_slots_include_memory_ops(self):
         segment = Segment(
             compute={Opcode.FFMA32: 10},
@@ -103,13 +122,13 @@ class TestFromInstructions:
         program = WarpProgram.from_instructions(
             [Instruction(Opcode.LDS, address=64, size=128)]
         )
-        assert program.segments[0].accesses[0].space is MemSpace.SHARED
+        assert decode_token(program.segments[0].accesses[0]).space is MemSpace.SHARED
 
     def test_store_flag_preserved(self):
         program = WarpProgram.from_instructions(
             [Instruction(Opcode.STG, address=64, size=128)]
         )
-        assert program.segments[0].accesses[0].is_store
+        assert decode_token(program.segments[0].accesses[0]).is_store
 
     def test_control_instructions_folded_away(self):
         program = WarpProgram.from_instructions(

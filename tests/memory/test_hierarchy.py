@@ -6,13 +6,20 @@ from repro.errors import ConfigError
 from repro.gpu.counters import CounterSet
 from repro.interconnect.ring import RingTopology
 from repro.isa.opcodes import MemSpace
-from repro.isa.program import MemAccess
+from repro.isa.program import MemAccess, pack_access
 from repro.memory.cache import CacheConfig
 from repro.memory.dram import DramChannel, HBM
 from repro.memory.hierarchy import GpmMemory, HierarchyLatencies
 from repro.memory.pages import PagePlacement
 from repro.sim.engine import Engine
 from repro.units import SECTORS_PER_LINE
+
+
+def warp_access(memory, sm_index, mem_access, earliest):
+    """One warp access through the token API: ``(completion, events)``."""
+    events = []
+    done = memory.access(sm_index, pack_access(mem_access), earliest, events)
+    return done, events
 
 
 def build_gpm(engine, gpm_id=0, num_gpms=1, placement=None, counters=None):
@@ -47,8 +54,8 @@ class TestLocalLoads:
         memory = build_gpm(engine)
         memory.connect(None, [memory])
         access = MemAccess(address=0x1000, size=128)
-        t1, ev1 = memory.access(0, access, earliest=0.0)
-        t2, ev2 = memory.access(0, access, earliest=t1)
+        t1, ev1 = warp_access(memory, 0, access, earliest=0.0)
+        t2, ev2 = warp_access(memory, 0, access, earliest=t1)
         assert not ev1 and not ev2
         # Second access is an L1 hit: just L1 latency beyond its start.
         assert t2 - t1 == pytest.approx(memory.latencies.l1)
@@ -59,7 +66,7 @@ class TestLocalLoads:
         counters = CounterSet()
         memory = build_gpm(engine, counters=counters)
         memory.connect(None, [memory])
-        memory.access(0, MemAccess(address=0, size=128), earliest=0.0)
+        warp_access(memory, 0, MemAccess(address=0, size=128), earliest=0.0)
         assert counters.l1_rf_txns == 1
         assert counters.l2_l1_txns == SECTORS_PER_LINE
         assert counters.dram_l2_txns == SECTORS_PER_LINE
@@ -69,9 +76,9 @@ class TestLocalLoads:
         memory = build_gpm(engine, counters=counters)
         memory.connect(None, [memory])
         # SM 0 fills L2; SM 1 misses its own L1 but hits the shared L2.
-        memory.access(0, MemAccess(address=0, size=128), earliest=0.0)
+        warp_access(memory, 0, MemAccess(address=0, size=128), earliest=0.0)
         dram_before = counters.dram_l2_txns
-        memory.access(1, MemAccess(address=0, size=128), earliest=0.0)
+        warp_access(memory, 1, MemAccess(address=0, size=128), earliest=0.0)
         assert counters.dram_l2_txns == dram_before
         assert counters.l2_hits == 1
 
@@ -79,7 +86,7 @@ class TestLocalLoads:
         counters = CounterSet()
         memory = build_gpm(engine, counters=counters)
         access = MemAccess(address=0x40, size=128, space=MemSpace.SHARED)
-        t, events = memory.access(0, access, earliest=5.0)
+        t, events = warp_access(memory, 0, access, earliest=5.0)
         assert not events
         assert t == pytest.approx(5.0 + memory.latencies.shared)
         assert counters.shared_rf_txns == 1
@@ -89,7 +96,7 @@ class TestLocalLoads:
         counters = CounterSet()
         memory = build_gpm(engine, counters=counters)
         memory.connect(None, [memory])
-        memory.access(0, MemAccess(address=0, size=128), earliest=0.0)
+        warp_access(memory, 0, MemAccess(address=0, size=128), earliest=0.0)
         assert counters.local_accesses == 1
         assert counters.remote_accesses == 0
 
@@ -99,7 +106,7 @@ class TestStores:
         memory = build_gpm(engine)
         memory.connect(None, [memory])
         access = MemAccess(address=0x2000, size=128, is_store=True)
-        t, events = memory.access(0, access, earliest=0.0)
+        t, events = warp_access(memory, 0, access, earliest=0.0)
         assert not events
         assert t == pytest.approx(memory.latencies.l1)
 
@@ -107,7 +114,7 @@ class TestStores:
         counters = CounterSet()
         memory = build_gpm(engine, counters=counters)
         memory.connect(None, [memory])
-        memory.access(0, MemAccess(address=0, size=128, is_store=True), 0.0)
+        warp_access(memory, 0, MemAccess(address=0, size=128, is_store=True), 0.0)
         assert counters.l2_l1_txns == SECTORS_PER_LINE
         assert memory.l2.probe(0)   # write-allocate at L2
 
@@ -119,7 +126,9 @@ class TestStores:
         sets = memory.l2.config.num_sets
         for way in range(17):
             address = way * sets * 128
-            memory.access(0, MemAccess(address=address, size=128, is_store=True), 0.0)
+            warp_access(
+                memory, 0, MemAccess(address=address, size=128, is_store=True), 0.0
+            )
         assert counters.dirty_writebacks >= 1
         assert counters.dram_l2_txns >= SECTORS_PER_LINE
 
@@ -141,7 +150,7 @@ class TestRemoteAccess:
     def test_remote_load_returns_a_pending_event(self, engine):
         gpm0, gpm1, counters, placement = self._pair(engine)
         placement.home(0x100000, toucher_gpm=1)  # page homed remotely
-        t, events = gpm0.access(0, MemAccess(address=0x100000, size=128), 0.0)
+        t, events = warp_access(gpm0, 0, MemAccess(address=0x100000, size=128), 0.0)
         assert len(events) == 1
         engine.run()
         assert events[0].triggered
@@ -152,8 +161,8 @@ class TestRemoteAccess:
     def test_remote_store_bypasses_local_l2(self, engine):
         gpm0, gpm1, counters, placement = self._pair(engine)
         placement.home(0x100000, toucher_gpm=1)
-        t, events = gpm0.access(
-            0, MemAccess(address=0x100000, size=128, is_store=True), 0.0
+        t, events = warp_access(
+            gpm0, 0, MemAccess(address=0x100000, size=128, is_store=True), 0.0
         )
         assert not events  # fire-and-forget
         engine.run()
@@ -163,17 +172,17 @@ class TestRemoteAccess:
     def test_remote_load_fills_local_l2(self, engine):
         gpm0, gpm1, counters, placement = self._pair(engine)
         placement.home(0x100000, toucher_gpm=1)
-        _t, events = gpm0.access(0, MemAccess(address=0x100000, size=128), 0.0)
+        _t, events = warp_access(gpm0, 0, MemAccess(address=0x100000, size=128), 0.0)
         engine.run()
         assert gpm0.l2.probe(0x100000)
 
     def test_remote_served_from_home_l2_when_present(self, engine):
         gpm0, gpm1, counters, placement = self._pair(engine)
         # GPM 1 touches the line first: homed there and resident in its L2.
-        gpm1.access(0, MemAccess(address=0x100000, size=128), 0.0)
+        warp_access(gpm1, 0, MemAccess(address=0x100000, size=128), 0.0)
         engine.run()
         dram_reads_before = gpm1.dram.reads
-        _t, events = gpm0.access(0, MemAccess(address=0x100000, size=128), 0.0)
+        _t, events = warp_access(gpm0, 0, MemAccess(address=0x100000, size=128), 0.0)
         engine.run()
         assert gpm1.dram.reads == dram_reads_before  # served from home L2
 
@@ -183,7 +192,7 @@ class TestRemoteAccess:
         gpm0 = build_gpm(engine, 0, 2, placement, counters)
         gpm0.connect(None, [gpm0])
         placement.home(0x100000, toucher_gpm=1)
-        gpm0.access(0, MemAccess(address=0x100000, size=128), 0.0)
+        warp_access(gpm0, 0, MemAccess(address=0x100000, size=128), 0.0)
         with pytest.raises(ConfigError):
             engine.run()
 

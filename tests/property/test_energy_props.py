@@ -61,7 +61,8 @@ def _add(a: CounterSet, b: CounterSet) -> CounterSet:
         ),
         sm_idle_cycles=a.sm_idle_cycles + b.sm_idle_cycles,
     )
-    merged.count_compute_map(b.instructions)
+    for opcode, count in b.instructions.items():
+        merged.count_instruction(opcode, count)
     return merged
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.isa.kernel import WorkloadCategory
 from repro.isa.opcodes import Opcode
+from repro.isa.program import decode_token
 from repro.workloads import patterns
 from repro.workloads.generator import WarpProgramBuilder, shared_region_base
 from repro.workloads.spec import WorkloadSpec
@@ -34,6 +35,22 @@ class TestHashProperties:
             z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % (1 << 64)
             z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % (1 << 64)
             assert value == z ^ (z >> 31)
+
+    @given(
+        st.integers(min_value=-(1 << 63), max_value=(1 << 64) - 1),
+        st.integers(min_value=0, max_value=400),
+        st.integers(min_value=0, max_value=1 << 20),
+        st.integers(min_value=1, max_value=17),
+        st.integers(min_value=1, max_value=33),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_warp_keys_match_scalar_mix_key(self, seed, kernel, cta_lo, ctas, warps):
+        grid = patterns.warp_keys(seed, kernel, cta_lo, cta_lo + ctas, warps)
+        assert grid.shape == (ctas, warps)
+        assert grid.tolist() == [
+            [patterns.mix_key(seed, kernel, cta, warp) for warp in range(warps)]
+            for cta in range(cta_lo, cta_lo + ctas)
+        ]
 
 
 fractions = st.tuples(
@@ -69,7 +86,7 @@ class TestGeneratorProperties:
         shared_end = shared_base + spec.shared_footprint_bytes
         for cta in (0, 7, 15):
             for segment in builder(cta, 0):
-                for access in segment.accesses:
+                for access in map(decode_token, segment.accesses):
                     address = access.address
                     in_partitioned = 0 <= address < spec.total_ctas * region
                     in_shared = shared_base <= address < shared_end
@@ -85,12 +102,12 @@ class TestGeneratorProperties:
         first = [
             (a.address, a.is_store)
             for s in builder(3, 1)
-            for a in s.accesses
+            for a in map(decode_token, s.accesses)
         ]
         second = [
             (a.address, a.is_store)
             for s in builder(3, 1)
-            for a in s.accesses
+            for a in map(decode_token, s.accesses)
         ]
         assert first == second
 
@@ -102,5 +119,5 @@ class TestGeneratorProperties:
         region = spec.cta_region_bytes
         for cta in (0, 5, 15):
             for segment in builder(cta, 0):
-                for access in segment.accesses:
+                for access in map(decode_token, segment.accesses):
                     assert cta * region <= access.address < (cta + 1) * region

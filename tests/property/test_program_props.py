@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import COMPUTE_OPCODES, Opcode
-from repro.isa.program import MemAccess, Segment, WarpProgram
+from repro.isa.program import MemAccess, Segment, WarpProgram, decode_token
 
 compute_ops = st.sampled_from(COMPUTE_OPCODES)
 instruction_lists = st.lists(
@@ -48,7 +48,7 @@ class TestFoldingProperties:
         folded = [
             (a.address, a.is_store)
             for segment in program
-            for a in segment.accesses
+            for a in map(decode_token, segment.accesses)
         ]
         assert folded == original
 

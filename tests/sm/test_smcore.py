@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.gpu.counters import CounterSet
 from repro.isa.opcodes import MemSpace
-from repro.isa.program import MemAccess
+from repro.isa.program import MemAccess, pack_access
 from repro.memory.cache import CacheConfig
 from repro.memory.dram import DramChannel, HBM
 from repro.memory.hierarchy import GpmMemory
@@ -54,16 +54,17 @@ class TestMemoryPort:
     def test_routes_through_own_l1(self):
         engine = Engine()
         sm = build_sm(engine)
-        access = MemAccess(address=0x1000, size=128)
-        t1, _ = sm.memory_access(access, earliest=0.0)
-        t2, _ = sm.memory_access(access, earliest=t1)
+        tokens = pack_access(MemAccess(address=0x1000, size=128))
+        t1 = sm.memory.access(sm.local_index, tokens, 0.0, [])
+        t2 = sm.memory.access(sm.local_index, tokens, t1, [])
         assert sm.counters.l1_hits == 1
 
     def test_shared_space_access(self):
         engine = Engine()
         sm = build_sm(engine)
-        access = MemAccess(address=0, size=128, space=MemSpace.SHARED)
-        t, events = sm.memory_access(access, earliest=10.0)
+        tokens = pack_access(MemAccess(address=0, size=128, space=MemSpace.SHARED))
+        events = []
+        t = sm.memory.access(sm.local_index, tokens, 10.0, events)
         assert not events
         assert t == pytest.approx(10.0 + 25.0)
         assert sm.counters.shared_rf_txns == 1

@@ -46,7 +46,7 @@ class TestLifecycle:
         sm = build_sm(engine)
         warp = WarpContext(0, 0, compute_program())
         assert warp.state is WarpState.READY
-        engine.process(warp.body(sm))
+        warp.start(sm)
         engine.run()
         assert warp.state is WarpState.FINISHED
         assert warp.instructions_executed == 16
@@ -56,7 +56,7 @@ class TestLifecycle:
         engine = Engine()
         sm = build_sm(engine)
         warp = WarpContext(0, 0, compute_program(16))
-        engine.process(warp.body(sm))
+        warp.start(sm)
         engine.run()
         # 16 FFMA32 at 4/cycle = 4 cycles of issue.
         assert engine.now == pytest.approx(4.0)
@@ -69,8 +69,9 @@ class TestLifecycle:
             Segment(compute={Opcode.FFMA32: 8, Opcode.FADD64: 2}),
             Segment(compute={Opcode.IADD32: 4}),
         ])
-        engine.process(WarpContext(0, 0, program).body(sm))
+        WarpContext(0, 0, program).start(sm)
         engine.run()
+        sm.compute_tally.fold_into(counters)
         assert counters.instructions[Opcode.FFMA32] == 8
         assert counters.instructions[Opcode.FADD64] == 2
         assert counters.instructions[Opcode.IADD32] == 4
@@ -84,7 +85,7 @@ class TestLifecycle:
                 accesses=(MemAccess(address=0, size=128),),
             )
         ])
-        engine.process(WarpContext(0, 0, program).body(sm))
+        WarpContext(0, 0, program).start(sm)
         engine.run()
         # A cold miss goes to DRAM: far longer than 1 cycle of issue.
         assert engine.now > 300.0
@@ -105,14 +106,12 @@ class TestLatencyHiding:
 
         solo_engine = Engine()
         solo_sm = build_sm(solo_engine)
-        solo_engine.process(WarpContext(0, 0, program(0)).body(solo_sm))
+        WarpContext(0, 0, program(0)).start(solo_sm)
         solo_engine.run()
         solo_time = solo_engine.now
 
         for warp_id in range(2):
-            engine.process(
-                WarpContext(0, warp_id, program(warp_id * 64 * 1024)).body(sm)
-            )
+            WarpContext(0, warp_id, program(warp_id * 64 * 1024)).start(sm)
         engine.run()
         assert engine.now < 1.5 * solo_time
 
@@ -125,7 +124,7 @@ class TestLatencyHiding:
                     accesses=(MemAccess(address=i * 64 * 1024, size=128),))
             for i in range(4)
         ]
-        engine.process(WarpContext(0, 0, WarpProgram(segments)).body(sm))
+        WarpContext(0, 0, WarpProgram(segments)).start(sm)
         engine.run()
         pipelined_time = engine.now
 
@@ -137,7 +136,7 @@ class TestLatencyHiding:
         engine = Engine()
         sm = build_sm(engine)
         for warp_id in range(4):
-            engine.process(WarpContext(0, warp_id, compute_program(16)).body(sm))
+            WarpContext(0, warp_id, compute_program(16)).start(sm)
         engine.run()
         # 4 warps x 16 instr / 4 per cycle = 16 cycles of issue, serialized.
         assert engine.now == pytest.approx(16.0)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.isa.opcodes import MemSpace, Opcode
+from repro.isa.program import decode_token
 from repro.workloads.generator import (
     WarpProgramBuilder,
     _apportion_mix,
@@ -61,23 +62,23 @@ class TestPrograms:
         a = WarpProgramBuilder(spec, 0)(3, 1)
         b = WarpProgramBuilder(spec, 0)(3, 1)
         for seg_a, seg_b in zip(a, b):
-            assert [x.address for x in seg_a.accesses] == [
-                x.address for x in seg_b.accesses
+            assert [x.address for x in map(decode_token, seg_a.accesses)] == [
+                x.address for x in map(decode_token, seg_b.accesses)
             ]
 
     def test_kernels_differ(self):
         spec = small_spec()
         k0 = WarpProgramBuilder(spec, 0)(3, 1)
         k1 = WarpProgramBuilder(spec, 1)(3, 1)
-        a0 = [x.address for s in k0 for x in s.accesses]
-        a1 = [x.address for s in k1 for x in s.accesses]
+        a0 = [x.address for s in k0 for x in map(decode_token, s.accesses)]
+        a1 = [x.address for s in k1 for x in map(decode_token, s.accesses)]
         assert a0 != a1
 
     def test_warps_differ(self):
         spec = small_spec()
         builder = WarpProgramBuilder(spec, 0)
-        a = [x.address for s in builder(0, 0) for x in s.accesses]
-        b = [x.address for s in builder(0, 1) for x in s.accesses]
+        a = [x.address for s in builder(0, 0) for x in map(decode_token, s.accesses)]
+        b = [x.address for s in builder(0, 1) for x in map(decode_token, s.accesses)]
         assert a != b
 
     def test_addresses_line_aligned(self):
@@ -85,7 +86,7 @@ class TestPrograms:
         builder = WarpProgramBuilder(spec, 0)
         for cta in range(4):
             for segment in builder(cta, 0):
-                for access in segment.accesses:
+                for access in map(decode_token, segment.accesses):
                     assert access.address % 128 == 0
 
     def test_stream_and_reuse_stay_in_own_or_neighbor_region(self):
@@ -98,7 +99,7 @@ class TestPrograms:
             (cta - 1) * region, cta * region, (cta + 1) * region
         }
         for segment in builder(cta, 0):
-            for access in segment.accesses:
+            for access in map(decode_token, segment.accesses):
                 base = access.address // region * region
                 assert base in allowed
 
@@ -108,7 +109,7 @@ class TestPrograms:
         builder = WarpProgramBuilder(spec, 0)
         base = shared_region_base(spec)
         for segment in builder(0, 0):
-            for access in segment.accesses:
+            for access in map(decode_token, segment.accesses):
                 assert base <= access.address < base + spec.shared_footprint_bytes
 
     def test_stores_only_on_stream_class(self):
@@ -116,7 +117,7 @@ class TestPrograms:
                           frac_shared=0.25, store_fraction=1.0)
         builder = WarpProgramBuilder(spec, 0)
         for segment in builder(0, 0):
-            for access in segment.accesses:
+            for access in map(decode_token, segment.accesses):
                 assert not access.is_store
 
     def test_store_fraction_approximate(self):
@@ -127,7 +128,7 @@ class TestPrograms:
         stores = total = 0
         for cta in range(64):
             for segment in builder(cta, 0):
-                for access in segment.accesses:
+                for access in map(decode_token, segment.accesses):
                     total += 1
                     stores += access.is_store
         assert 0.4 < stores / total < 0.6
@@ -136,7 +137,7 @@ class TestPrograms:
         spec = small_spec(shared_mem_fraction=1.0)
         builder = WarpProgramBuilder(spec, 0)
         for segment in builder(0, 0):
-            for access in segment.accesses:
+            for access in map(decode_token, segment.accesses):
                 assert access.space is MemSpace.SHARED
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import TraceError
 from repro.isa.kernel import WorkloadCategory
 from repro.isa.opcodes import Opcode
+from repro.isa.program import decode_token
 from repro.workloads.generator import WarpProgramBuilder, build_workload
 from repro.workloads.spec import WorkloadSpec
 
@@ -40,7 +41,7 @@ class TestDegenerateShapes:
         program = WarpProgramBuilder(spec, 0)(0, 0)
         region = spec.cta_region_bytes
         for segment in program:
-            for access in segment.accesses:
+            for access in map(decode_token, segment.accesses):
                 assert access.address < region or access.address >= 65536
 
     def test_edge_cta_halo_stays_in_bounds(self):
@@ -52,7 +53,7 @@ class TestDegenerateShapes:
         region = spec.cta_region_bytes
         for cta in (0, spec.total_ctas - 1):
             for segment in builder(cta, 0):
-                for access in segment.accesses:
+                for access in map(decode_token, segment.accesses):
                     owner = access.address // region
                     assert 0 <= owner < spec.total_ctas
 
@@ -64,7 +65,7 @@ class TestDegenerateShapes:
         builder = WarpProgramBuilder(spec, 0)
         region = spec.cta_region_bytes
         for segment in builder(3, 0):
-            for access in segment.accesses:
+            for access in map(decode_token, segment.accesses):
                 assert 3 * region <= access.address < 4 * region
 
 
@@ -77,6 +78,6 @@ class TestWorkloadBuilding:
     def test_distinct_seeds_distinct_traffic(self):
         a = WarpProgramBuilder(spec_with(seed=1), 0)(0, 0)
         b = WarpProgramBuilder(spec_with(seed=2), 0)(0, 0)
-        addresses_a = [x.address for s in a for x in s.accesses]
-        addresses_b = [x.address for s in b for x in s.accesses]
+        addresses_a = [x.address for s in a for x in map(decode_token, s.accesses)]
+        addresses_b = [x.address for s in b for x in map(decode_token, s.accesses)]
         assert addresses_a != addresses_b
