@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-smoke perf-smoke perf-baseline differential reproduce figures figures-smoke examples trace-smoke roofline-smoke idle-smoke clean-cache loc
+.PHONY: install test bench bench-smoke perf-gate differential reproduce figures figures-smoke examples trace-smoke roofline-smoke idle-smoke clean-cache loc
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -19,25 +19,25 @@ bench-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest --benchmark-disable -q \
 	  benchmarks/bench_config_tables.py \
 	  benchmarks/bench_table1b.py \
-	  benchmarks/bench_simulator.py \
 	  benchmarks/bench_trace_overhead.py \
 	  benchmarks/bench_sweetspot.py::test_sweetspot_smoke
 
-# Simulator-throughput regression check: quick case, normalized events/sec
-# compared against the committed baseline (see docs/PERFORMANCE.md).
-perf-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro bench --quick \
-	  --out .cache/BENCH_sim.json --check BENCH_sim.json --tolerance 0.2
+# Simulator-throughput gate: perfbench's sim_winst_per_s on this tree
+# against the committed files of PERF_BASE (default HEAD: uncommitted edits
+# against the last commit), within BENCHMARK.json's bound (see
+# docs/PERFORMANCE.md).
+PERF_BASE ?= HEAD
+perf-gate:
+	rm -rf .cache/perf-base && mkdir -p .cache/perf-base
+	git archive -o .cache/perf-base.tar $(PERF_BASE)
+	tar -xf .cache/perf-base.tar -C .cache/perf-base
+	$(PYTHON) src/repro/tools/perf_gate.py --base .cache/perf-base
 
 # Differential suite, all bit-exact: the production cache model against its
 # reference oracle, idle-off runs against the pre-idle simulator, and the
 # warp/CTA-slot callback chains against generator-process reference bodies.
 differential:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/differential -q
-
-# Regenerate the committed throughput baseline (full sweep; quiet machine).
-perf-baseline:
-	PYTHONPATH=src $(PYTHON) -m repro bench --out BENCH_sim.json
 
 # Regenerate every paper table/figure (fills .cache/ on first run).
 reproduce:

@@ -24,14 +24,9 @@ Subcommands sit beside the experiments (see ``docs/OBSERVABILITY.md``):
   ``--governor`` adds per-GPM sleep states (race-to-idle, deadline-paced,
   gate-only, or utilization) and prints the gated residency.
 * ``repro roofline`` — score a workload's V/f ladder with the closed-form
-  roofline predictor and compare against simulation; ``--check-bounds``
-  verifies the committed error-bound manifest (see docs/MODELING.md).
+  roofline predictor and compare against simulation (see docs/MODELING.md).
 * ``repro figures`` — regenerate every ``fig*`` log in ``results/``
   (see EXPERIMENTS.md).
-* ``repro bench`` — run the simulator throughput benchmark (the headline
-  1–32 GPM sweep, or ``--quick`` for a single small case) and write
-  ``BENCH_sim.json``; ``--check`` compares against a committed baseline
-  (see ``docs/PERFORMANCE.md``).
 
 Every subcommand maps configuration errors (bad DVFS grids, infeasible
 power caps, non-positive CTA or kernel counts) to a single
@@ -428,17 +423,20 @@ def _profile_main(argv: list[str]) -> int:
     return 0
 
 
+def _ladder_sweep(spec, config, metric: str):
+    """The K40-ladder sweet spot of ``spec``: in process, never cached."""
+    from repro.dvfs.sweetspot import SweetSpotSearch
+
+    runner = SweepRunner(SweepSettings(use_cache=False, processes=1))
+    return SweetSpotSearch(runner, metric=metric).search_one(spec, config)
+
+
 def _dvfs_main(argv: list[str]) -> int:
     """``repro dvfs``: sweep one workload over the V/f ladder."""
     from repro.core.energy_model import EnergyModel, EnergyParams
     from repro.dvfs.governor import UtilizationGovernor
     from repro.dvfs.operating_point import K40_VF_CURVE
-    from repro.dvfs.sweetspot import (
-        METRICS,
-        FrequencySample,
-        SweetSpot,
-        with_operating_point,
-    )
+    from repro.dvfs.sweetspot import METRICS
     from repro.gpu.simulator import simulate
 
     parser = argparse.ArgumentParser(
@@ -498,24 +496,8 @@ def _dvfs_main(argv: list[str]) -> int:
             curve=curve, cap_watts=args.cap_watts
         ).initial_points(config.num_gpms)
     anchor_hz = K40_VF_CURVE.anchor.frequency_hz
-    samples = []
-    for point in K40_VF_CURVE.points:
-        pointed = with_operating_point(config, point)
-        result = simulate(workload, pointed)
-        params = EnergyParams.for_operating_point(pointed)
-        energy = EnergyModel(params).evaluate(result.counters, result.seconds)
-        samples.append(
-            FrequencySample(
-                point=point, delay_s=result.seconds, energy_j=energy.total
-            )
-        )
-    spot = SweetSpot(
-        workload=spec.abbr,
-        config_label=config.label(),
-        num_gpms=config.num_gpms,
-        metric=args.metric,
-        samples=tuple(samples),
-    )
+    spot = _ladder_sweep(spec, config, args.metric)
+    samples = spot.samples
 
     print(f"{spec.abbr} on {config.label()}: V/f sweep ({args.metric})")
     header = (
@@ -620,24 +602,9 @@ def _roofline_main(argv: list[str]) -> int:
         description=(
             "Score a workload's V/f ladder with the closed-form roofline"
             " predictor and (unless --predict-only) compare every point"
-            " against simulation (see docs/MODELING.md).  --check-bounds"
-            " instead verifies the committed error-bound manifest"
-            " (ROOFLINE_bounds.json) like CI does."
+            " against simulation (see docs/MODELING.md)."
         ),
     )
-    parser.add_argument(
-        "--check-bounds",
-        action="store_true",
-        help="validate ROOFLINE_bounds.json against the golden configs",
-    )
-    # The workload is optional so `repro roofline --check-bounds` works bare.
-    if "--check-bounds" in argv:
-        extra = [arg for arg in argv if arg != "--check-bounds"]
-        if extra:
-            parser.error(f"--check-bounds takes no other arguments, got {extra}")
-        from repro.tools.roofline_bounds import main as bounds_main
-
-        return bounds_main([])
     _add_observe_arguments(parser)
     parser.add_argument(
         "--metric",
@@ -652,14 +619,12 @@ def _roofline_main(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.core.energy_model import EnergyModel, EnergyParams
     from repro.dvfs.operating_point import K40_VF_CURVE
     from repro.dvfs.selection import best_candidate
     from repro.dvfs.sweetspot import with_operating_point
-    from repro.gpu.simulator import simulate
     from repro.roofline.model import RooflinePredictor
 
-    spec, workload, config = _observed_pair(parser, args)
+    spec, _workload, config = _observed_pair(parser, args)
     predictor = RooflinePredictor()
     points = K40_VF_CURVE.points
     predictions = {
@@ -688,32 +653,17 @@ def _roofline_main(argv: list[str]) -> int:
             )
         return 0
 
-    simulated = {}
-    for point in points:
-        pointed = with_operating_point(config, point)
-        result = simulate(workload, pointed)
-        params = EnergyParams.for_operating_point(pointed)
-        energy = EnergyModel(params).evaluate(result.counters, result.seconds)
-        simulated[point] = (result.seconds, energy.total)
-    scores = {
-        point: (
-            delay * energy if args.metric == "edp" else delay**2 * energy
-        )
-        for point, (delay, energy) in simulated.items()
-    }
-    simulated_best = best_candidate(
-        points,
-        score=lambda p: scores[p],
-        tie_key=lambda p: (p.frequency_hz, p.label()),
-    )
+    spot = _ladder_sweep(spec, config, args.metric)
+    simulated_best = spot.point
     print(
         f"  {'point':<10} {'MHz':>5} {'pred us':>9} {'sim us':>9}"
         f" {'derr%':>6} {'pred uJ':>9} {'sim uJ':>9} {'eerr%':>6}"
         f" {'bound':>8}"
     )
-    for point in points:
+    for sample in spot.samples:
+        point = sample.point
         pred = predictions[point]
-        delay_s, energy_j = simulated[point]
+        delay_s, energy_j = sample.delay_s, sample.energy_j
         markers = []
         if point is predicted_best:
             markers.append("predicted best")
@@ -821,10 +771,6 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv and argv[0] in _SUBCOMMANDS:
         return _guarded(argv[0], _SUBCOMMANDS[argv[0]], argv[1:])
-    if argv and argv[0] == "bench":
-        from repro.tools.bench_engine import main as bench_main
-
-        return _guarded("bench", bench_main, argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -838,9 +784,8 @@ def main(argv: list[str] | None = None) -> int:
             " prints component metrics; 'repro dvfs <workload>' sweeps the"
             " V/f ladder and reports the energy sweet spot; 'repro roofline"
             " <workload>' compares the roofline predictor with simulation;"
-            " 'repro figures' regenerates every fig* log in results/; 'repro"
-            " bench' measures simulator throughput.  See"
-            " docs/OBSERVABILITY.md, docs/POWER.md, and docs/PERFORMANCE.md."
+            " 'repro figures' regenerates every fig* log in results/.  See"
+            " docs/OBSERVABILITY.md, docs/POWER.md, and docs/MODELING.md."
         ),
     )
     parser.add_argument(

@@ -387,11 +387,11 @@ class MultiGpu:
                 if tracer.enabled:
                     tracer.instant("gpu", "coherence.flush", self.engine.now)
 
-    def run(self, workload: Workload, max_events: int | None = None) -> CounterSet:
+    def run(self, workload: Workload) -> CounterSet:
         """Execute ``workload`` to completion and return the filled counters."""
         self.placement.set_interleaved_from(workload.interleaved_base)
         driver = self.engine.process(self._workload_body(workload), name="driver")
-        self.engine.run(max_events=max_events)
+        self.engine.run()
         if not driver.done.triggered:
             raise ConfigError(
                 f"workload {workload.name!r} deadlocked: driver never finished"

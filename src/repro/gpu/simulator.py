@@ -99,7 +99,6 @@ class GpuSimulator:
     def run(
         self,
         workload: Workload,
-        max_events: int | None = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         governor: Governor | None = None,
@@ -144,7 +143,7 @@ class GpuSimulator:
             governor=governor,
         )
         start = time.perf_counter()
-        counters = gpu.run(workload, max_events=max_events)
+        counters = gpu.run(workload)
         wall_time_s = time.perf_counter() - start
         return RunResult(
             workload_name=workload.name,

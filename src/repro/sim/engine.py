@@ -42,8 +42,8 @@ structural optimizations keep the per-event cost low:
   order) every now-queue entry, because a zero delay never reaches the heap.
 * **Same-timestamp batch dispatch.**  ``run`` pops every heap entry sharing
   the front timestamp in one inner loop (FIFO by sequence number, exactly as
-  before) before draining the now queue, so the ``until``/bookkeeping checks
-  run once per distinct time, not once per event.
+  before) before draining the now queue, so the clock update runs once per
+  distinct time, not once per event.
 * **Counting barriers.**  ``AllOf`` waits register one shared bound-method
   callback that decrements a counter on the waiting process — no per-wait
   closure, no materialized waiter list.
@@ -306,14 +306,8 @@ class Engine:
         else:
             self._nowq.append((callback, None))
 
-    def run(self, until: float | None = None, max_events: int | None = None) -> float:
-        """Drain the now queue and the event heap.
-
-        Args:
-            until: stop once the clock would pass this time (the event stays
-                queued).  ``None`` runs to quiescence.
-            max_events: safety valve against runaway simulations; raises
-                :class:`SimulationError` when exceeded.
+    def run(self) -> float:
+        """Drain the now queue and the event heap to quiescence.
 
         Returns:
             The final simulation time.
@@ -330,52 +324,18 @@ class Engine:
         popleft = nowq.popleft
         processed = self._events_processed
         try:
-            if max_events is None:
-                # Fast loop: no per-event limit comparison.  Identical
-                # dispatch order to the guarded loop below.
-                while True:
-                    while nowq:
-                        callback, value = popleft()
-                        processed += 1
-                        callback(value)
-                    if not heap:
-                        break
-                    when = heap[0][0]
-                    if until is not None and when > until:
-                        self.now = until
-                        break
-                    self.now = when
-                    while True:
-                        entry = pop(heap)
-                        processed += 1
-                        entry[2](entry[3])
-                        if not heap or heap[0][0] != when:
-                            break
-                return self.now
-            limit = max_events
             while True:
                 while nowq:
                     callback, value = popleft()
                     processed += 1
-                    if processed > limit:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} at t={self.now}"
-                        )
                     callback(value)
                 if not heap:
                     break
                 when = heap[0][0]
-                if until is not None and when > until:
-                    self.now = until
-                    break
                 self.now = when
                 while True:
                     entry = pop(heap)
                     processed += 1
-                    if processed > limit:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} at t={self.now}"
-                        )
                     entry[2](entry[3])
                     if not heap or heap[0][0] != when:
                         break

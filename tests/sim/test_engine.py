@@ -32,26 +32,6 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             Engine().schedule(-0.1, lambda _v: None)
 
-    def test_run_until_stops_before_future_events(self):
-        engine = Engine()
-        fired = []
-        engine.schedule(10.0, lambda _v: fired.append(1))
-        engine.run(until=5.0)
-        assert fired == []
-        assert engine.now == 5.0
-        engine.run()
-        assert fired == [1]
-
-    def test_max_events_guard(self):
-        engine = Engine()
-
-        def reschedule(_v):
-            engine.schedule(1.0, reschedule)
-
-        engine.schedule(0.0, reschedule)
-        with pytest.raises(SimulationError):
-            engine.run(max_events=100)
-
     def test_value_delivery(self):
         engine = Engine()
         seen = []
@@ -445,45 +425,24 @@ class TestCallAt:
 
 
 class TestRunBoundaries:
-    def test_until_exactly_at_event_time_fires_the_event(self):
+    def test_zero_delay_work_runs_before_later_heap_entries(self):
         engine = Engine()
         fired = []
-        engine.schedule(5.0, lambda _v: fired.append(1))
-        engine.run(until=5.0)
-        assert fired == [1]
-        assert engine.now == 5.0
-
-    def test_until_drains_pending_zero_delay_work_first(self):
-        engine = Engine()
-        fired = []
-        engine.schedule(0.0, lambda _v: fired.append("now"))
         engine.schedule(10.0, lambda _v: fired.append("later"))
-        engine.run(until=1.0)
-        assert fired == ["now"]
-        assert engine.now == 1.0
+        engine.schedule(0.0, lambda _v: fired.append("now"))
         engine.run()
         assert fired == ["now", "later"]
         assert engine.now == 10.0
 
-    def test_max_events_counts_now_queue_work(self):
-        engine = Engine()
-
-        def respawn(_v):
-            engine.schedule(0.0, respawn)
-
-        engine.schedule(0.0, respawn)
-        with pytest.raises(SimulationError):
-            engine.run(max_events=50)
-
-    def test_max_events_spans_run_calls(self):
+    def test_run_resumes_after_quiescence_and_keeps_counting(self):
         engine = Engine()
         for _ in range(5):
             engine.schedule(1.0, lambda _v: None)
         engine.run()
         assert engine.events_processed == 5
         engine.schedule(1.0, lambda _v: None)
-        with pytest.raises(SimulationError):
-            engine.run(max_events=5)
+        assert engine.run() == 2.0
+        assert engine.events_processed == 6
 
 
 class TestAllOfBarrier:

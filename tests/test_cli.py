@@ -29,6 +29,13 @@ class TestArguments:
             main(["not-an-experiment"])
         assert excinfo.value.code != 0
 
+    def test_bench_is_not_a_command(self, capsys):
+        # Simulator throughput is perfbench's job (make perf-gate).
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--quick"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
     def test_help_shows_usage(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--help"])
