@@ -126,27 +126,6 @@ class Governor(abc.ABC):
             )
         return points
 
-    def on_interval(
-        self,
-        gpm_id: int,
-        utilization: float,
-        current: OperatingPoint,
-        now: float,
-        window_cycles: float,
-    ) -> OperatingPoint:
-        """Driver entry point: decide, record the decision, return the point."""
-        point = self.decide(gpm_id, utilization, current)
-        self.trace.append(
-            GovernorDecision(
-                at_cycle=now,
-                gpm_id=gpm_id,
-                window_cycles=window_cycles,
-                utilization=utilization,
-                point=point,
-            )
-        )
-        return point
-
     def decisions_for(self, gpm_id: int) -> list[GovernorDecision]:
         """This GPM's slice of the decision trace, in time order."""
         return [d for d in self.trace if d.gpm_id == gpm_id]

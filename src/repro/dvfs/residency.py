@@ -63,10 +63,6 @@ class ResidencyHistogram:
         return sum(self.cycles.values()) + sum(self.sleep_cycles.values())
 
     @property
-    def active_cycles(self) -> float:
-        return sum(self.cycles.values())
-
-    @property
     def total_sleep_cycles(self) -> float:
         return sum(self.sleep_cycles.values())
 

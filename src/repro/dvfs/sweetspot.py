@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.energy_model import EnergyParams
 from repro.dvfs.config import ClockDomain, DvfsConfig
-from repro.dvfs.operating_point import K40_VF_CURVE, OperatingPoint, VfCurve
+from repro.dvfs.operating_point import K40_VF_CURVE, OperatingPoint
 from repro.dvfs.selection import best_candidate
 from repro.errors import ExperimentError
 from repro.experiments.runner import SweepRunner
@@ -30,7 +30,6 @@ from repro.gpu.config import GpuConfig
 from repro.workloads.spec import WorkloadSpec
 
 if TYPE_CHECKING:  # deferred: repro.roofline is an optional fast path
-    from repro.roofline.model import RooflinePredictor
     from repro.roofline.screen import ScreenDisposition
 
 #: Supported optimization metrics.
@@ -109,16 +108,16 @@ class SweetSpot:
 def with_operating_point(
     config: GpuConfig,
     point: OperatingPoint,
-    curve: VfCurve = K40_VF_CURVE,
     domain: ClockDomain = ClockDomain.CORE,
 ) -> GpuConfig:
     """A copy of ``config`` with one clock domain moved to ``point``.
 
     ``domain`` selects which :class:`~repro.dvfs.config.ClockDomain` the
     point applies to; the other domains stay at the anchor (or wherever the
-    existing ``config.dvfs`` already put them).
+    existing ``config.dvfs`` already put them).  A configuration without
+    DVFS gets the K40 ladder.
     """
-    base = config.dvfs if config.dvfs is not None else DvfsConfig(curve=curve)
+    base = config.dvfs if config.dvfs is not None else DvfsConfig()
     if domain is ClockDomain.CORE:
         dvfs = base.with_core(point)
     elif domain is ClockDomain.DRAM:
@@ -129,52 +128,46 @@ def with_operating_point(
 
 
 class SweetSpotSearch:
-    """Sweeps a V/f curve per workload x configuration and picks the optimum."""
+    """Sweeps a V/f curve per workload x configuration and picks the optimum.
+
+    The curve is the K40 ladder.  This is the one place an operating-point
+    grid is expanded into pointed configurations, screened, and simulated.
+    """
 
     def __init__(
         self,
         runner: SweepRunner,
-        curve: VfCurve = K40_VF_CURVE,
         metric: str = "edp",
         points: tuple[OperatingPoint, ...] | None = None,
         domain: ClockDomain = ClockDomain.CORE,
         screen: str | None = None,
         top_k: int = 3,
         guard: int = 1,
-        predictor: "RooflinePredictor | None" = None,
     ):
         if metric not in METRICS:
             raise ExperimentError(
                 f"metric must be one of {METRICS}, got {metric!r}"
             )
         self.runner = runner
-        self.curve = curve
         self.metric = metric
         self.domain = domain
-        self.points = tuple(points) if points is not None else curve.points
+        self.points = (
+            tuple(points) if points is not None else K40_VF_CURVE.points
+        )
         if not self.points:
             raise ExperimentError("sweet-spot search needs at least one point")
         for point in self.points:
-            if not curve.contains(point):
+            if not K40_VF_CURVE.contains(point):
                 raise ExperimentError(
                     f"sweep point {point!r} lies outside the search curve"
                 )
         if screen is not None:
             from repro.roofline.screen import validate_screen
 
-            validate_screen(screen)
-            if top_k < 1:
-                raise ExperimentError(
-                    f"screen top-k must be >= 1, got {top_k}"
-                )
-            if guard < 0:
-                raise ExperimentError(
-                    f"screen guard must be >= 0, got {guard}"
-                )
+            validate_screen(screen, top_k, guard)
         self.screen = screen
         self.top_k = top_k
         self.guard = guard
-        self._predictor = predictor
 
     def _select_points(
         self, specs: list[WorkloadSpec], configs: list[GpuConfig]
@@ -193,14 +186,13 @@ class SweetSpotSearch:
         from repro.roofline.model import RooflinePredictor
         from repro.roofline.screen import screen_operating_points
 
-        predictor = self._predictor or RooflinePredictor()
+        predictor = RooflinePredictor()
         return {
             (config.label(), spec.abbr): screen_operating_points(
                 predictor,
                 spec,
                 config,
                 self.points,
-                curve=self.curve,
                 domain=self.domain,
                 metric=self.metric,
                 top_k=self.top_k,
@@ -227,7 +219,7 @@ class SweetSpotSearch:
         """
         pointed = {
             (config.label(), point.frequency_hz): with_operating_point(
-                config, point, self.curve, domain=self.domain
+                config, point, domain=self.domain
             )
             for config in configs
             for point in self.points

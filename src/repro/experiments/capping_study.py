@@ -298,11 +298,7 @@ def run(
     if screen is not None:
         from repro.roofline.screen import validate_screen
 
-        validate_screen(screen)
-        if top_k < 1:
-            raise ExperimentError(f"screen top-k must be >= 1, got {top_k}")
-        if guard < 0:
-            raise ExperimentError(f"screen guard must be >= 0, got {guard}")
+        validate_screen(screen, top_k, guard)
         fractions, screen_note = _screen_fractions(
             specs, gpm_counts, fractions, top_k, guard
         )

@@ -9,15 +9,6 @@ from __future__ import annotations
 from repro.errors import ExperimentError
 
 
-def format_cell(value: object, width: int) -> str:
-    """Right-justify one cell, formatting floats to two decimals."""
-    if isinstance(value, float):
-        text = f"{value:.2f}"
-    else:
-        text = str(value)
-    return text.rjust(width)
-
-
 def render_table(
     title: str,
     headers: list[str],

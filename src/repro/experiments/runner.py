@@ -131,29 +131,6 @@ def _timed_run_pair(
     return _record_from_result(spec, config, result, metrics), timing
 
 
-def expand_operating_points(
-    configs: list[GpuConfig], operating_points=None, curve=None
-) -> list[GpuConfig]:
-    """Expand configurations along a chip-wide core operating-point axis.
-
-    Each configuration becomes one variant per point (core domain on
-    ``curve``, default the K40 ladder); ``operating_points=None`` returns
-    the configurations unchanged.  Exhaustive and roofline-screened grids
-    both expand through here, so they share cache keys.
-    """
-    if operating_points is None:
-        return configs
-    from repro.dvfs.config import DvfsConfig
-    from repro.dvfs.operating_point import K40_VF_CURVE
-
-    vf_curve = curve if curve is not None else K40_VF_CURVE
-    return [
-        replace(config, dvfs=DvfsConfig.core_only(point, curve=vf_curve))
-        for config in configs
-        for point in operating_points
-    ]
-
-
 class SweepRunner:
     """Executes (workload, configuration) grids with caching.
 
@@ -172,9 +149,6 @@ class SweepRunner:
         self.dedup_skips = 0
         #: Merged component metrics across every record this runner returned.
         self.metrics = MetricsRegistry()
-        #: Screening provenance per cache key for the current screened grid
-        #: (:meth:`run_grid` with ``screen=``); attached to fresh manifests.
-        self._screen_note: dict[str, dict] = {}
 
     # ------------------------------------------------------------------ cache
 
@@ -240,7 +214,6 @@ class SweepRunner:
             events_per_sec=timing.events_per_sec,
             dvfs_residency=None if record is None else record.residency,
             per_gpm_energy=per_gpm_energy,
-            screen=self._screen_note.get(key),
         )
         manifest.write(RunManifest.path_for(self._cache_path(key)))
 
@@ -371,114 +344,16 @@ class SweepRunner:
         return results
 
     def run_grid(
-        self,
-        specs: list[WorkloadSpec],
-        configs: list[GpuConfig],
-        operating_points=None,
-        curve=None,
-        screen: str | None = None,
-        top_k: int = 3,
-        guard: int = 1,
-        metric: str = "edp",
+        self, specs: list[WorkloadSpec], configs: list[GpuConfig]
     ) -> dict[str, dict[str, RunRecord]]:
         """Cartesian sweep; returns ``results[config_label][workload]``.
 
-        ``operating_points`` adds a third axis: every configuration is
-        expanded to one variant per :class:`~repro.dvfs.OperatingPoint`
-        (chip-wide core domain on ``curve``, default the K40 ladder), and the
-        grid keys carry the point suffix (``...@core@k40-562`` style).
-
-        ``screen="roofline"`` prunes that third axis: per (configuration,
-        workload) the roofline predictor ranks every point by ``metric`` and
-        only the top ``top_k + guard`` are simulated.  The simulated subset
-        uses the *same* expanded configurations — hence the same cache keys —
-        as the exhaustive grid, and each fresh manifest records its screening
-        provenance.
+        Operating-point (V/f) grids go through
+        :class:`~repro.dvfs.sweetspot.SweetSpotSearch` instead.
         """
-        if screen is None:
-            configs = expand_operating_points(configs, operating_points, curve)
-            pairs = [(spec, config) for config in configs for spec in specs]
-        else:
-            pairs = self._screened_pairs(
-                specs, configs, operating_points, curve, screen,
-                top_k=top_k, guard=guard, metric=metric,
-            )
+        pairs = [(spec, config) for config in configs for spec in specs]
         records = self.run(pairs)
         grid: dict[str, dict[str, RunRecord]] = {}
         for record in records:
             grid.setdefault(record.config_label, {})[record.workload] = record
         return grid
-
-    def _screened_pairs(
-        self,
-        specs: list[WorkloadSpec],
-        configs: list[GpuConfig],
-        operating_points,
-        curve,
-        screen: str,
-        top_k: int,
-        guard: int,
-        metric: str,
-    ) -> list[tuple[WorkloadSpec, GpuConfig]]:
-        """The roofline-selected subset of an operating-point grid."""
-        from repro.dvfs.operating_point import K40_VF_CURVE
-        from repro.roofline.model import RooflinePredictor
-        from repro.roofline.screen import (
-            screen_operating_points,
-            validate_screen,
-        )
-
-        validate_screen(screen)
-        if operating_points is None:
-            raise ExperimentError(
-                "a screened grid needs an operating_points axis to prune"
-            )
-        vf_curve = curve if curve is not None else K40_VF_CURVE
-        predictor = RooflinePredictor()
-        self._screen_note = {}
-        pairs: list[tuple[WorkloadSpec, GpuConfig]] = []
-        for config in configs:
-            # The same expansion expand_operating_points applies, so a
-            # screened grid's cache keys match the exhaustive grid's.
-            expanded = {
-                point: pointed
-                for point, pointed in zip(
-                    operating_points,
-                    expand_operating_points(
-                        [config], operating_points, vf_curve
-                    ),
-                )
-            }
-            for spec in specs:
-                chosen, disposition = screen_operating_points(
-                    predictor,
-                    spec,
-                    config,
-                    tuple(operating_points),
-                    curve=vf_curve,
-                    metric=metric,
-                    top_k=top_k,
-                    guard=guard,
-                    expand=lambda point: expanded[point],
-                )
-                ranked = {
-                    entry.label: rank
-                    for rank, entry in enumerate(disposition.entries)
-                }
-                for point in chosen:
-                    pointed = expanded[point]
-                    pairs.append((spec, pointed))
-                    self._screen_note[_cache_key(spec, pointed)] = {
-                        "mode": disposition.mode,
-                        "metric": metric,
-                        "top_k": top_k,
-                        "guard": guard,
-                        "scored_points": disposition.scored_points,
-                        "predicted_rank": ranked[point.label()],
-                        **(
-                            {}
-                            if disposition.fallback is None
-                            else {"fallback": disposition.fallback}
-                        ),
-                    }
-        return pairs

@@ -73,17 +73,6 @@ class SweetSpotStudyResult:
     #: which is exactly what screening avoids.
     screen: str | None = None
 
-    def domain_spot(
-        self, domain: ClockDomain, workload: str, num_gpms: int
-    ) -> SweetSpot:
-        try:
-            return self.domain_spots[domain.value][num_gpms][workload]
-        except KeyError as exc:
-            raise ExperimentError(
-                f"no {domain.value} sweet-spot sweep for {workload!r} on"
-                f" {num_gpms} GPMs"
-            ) from exc
-
     def spot(self, workload: str, num_gpms: int) -> SweetSpot:
         try:
             return self.spots[num_gpms][workload]

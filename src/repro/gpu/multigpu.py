@@ -157,17 +157,6 @@ class MultiGpu:
             if hist
         }
 
-    @property
-    def sleep_residency(self) -> dict[int, dict[str, float]]:
-        """Gated cycles as ``{gpm_id: {state name: cycles}}`` (idle runs)."""
-        if self.idle is None:
-            return {}
-        return {
-            gpm_id: {state.name: cycles for state, cycles in sleeps.items()}
-            for gpm_id, sleeps in enumerate(self._sleep_residency)
-            if sleeps
-        }
-
     def _gpm_scales(self, gpm_id: int) -> DomainScales:
         if self.config.dvfs is None:
             return IDENTITY_SCALES

@@ -5,8 +5,9 @@ through the unmodified simulation path with the unmodified configurations,
 so every simulated result and every cache key is bit-identical to what the
 exhaustive sweep would have produced for the same points.  The only thing
 screening changes is which points get simulated at all — and the
-:class:`ScreenDisposition` records exactly that choice, so a manifest reader
-can tell a screened sweep's gaps from missing data.
+:class:`ScreenDisposition` on each screened
+:class:`~repro.dvfs.sweetspot.SweetSpot` records exactly that choice, so a
+reader can tell a screened sweep's gaps from missing data.
 
 Ranking goes through :mod:`repro.dvfs.selection`, the same deterministic
 tie-break the exact search uses, so "top-k plus guard" is well defined even
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.dvfs.config import ClockDomain
-from repro.dvfs.operating_point import K40_VF_CURVE, OperatingPoint, VfCurve
+from repro.dvfs.operating_point import OperatingPoint
 from repro.dvfs.selection import top_candidates
 from repro.errors import ExperimentError
 from repro.gpu.config import GpuConfig
@@ -28,15 +29,18 @@ from repro.workloads.spec import WorkloadSpec
 SCREEN_MODES = ("roofline",)
 
 
-def validate_screen(screen: str | None) -> str | None:
-    """Normalize and validate a ``screen=`` argument (None passes through)."""
+def validate_screen(screen: str | None, top_k: int, guard: int) -> None:
+    """Reject bad screen knobs; ``screen=None`` (exhaustive) passes."""
     if screen is None:
-        return None
+        return
     if screen not in SCREEN_MODES:
         raise ExperimentError(
             f"screen mode must be one of {SCREEN_MODES} or None, got {screen!r}"
         )
-    return screen
+    if top_k < 1:
+        raise ExperimentError(f"screen top-k must be >= 1, got {top_k}")
+    if guard < 0:
+        raise ExperimentError(f"screen guard must be >= 0, got {guard}")
 
 
 @dataclass(frozen=True)
@@ -50,15 +54,6 @@ class ScreenEntry:
     bound: str
     #: True when the screen selected this candidate for simulation.
     simulated: bool
-
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "frequency_hz": self.frequency_hz,
-            "predicted_score": self.predicted_score,
-            "bound": self.bound,
-            "simulated": self.simulated,
-        }
 
 
 @dataclass(frozen=True)
@@ -96,40 +91,6 @@ class ScreenDisposition:
     def skipped_points(self) -> int:
         return self.scored_points - self.simulated_points
 
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "metric": self.metric,
-            "top_k": self.top_k,
-            "guard": self.guard,
-            "scored_points": self.scored_points,
-            "simulated_points": self.simulated_points,
-            # Only present on fallback runs, so screened manifests written
-            # before this field existed parse (and serialize) identically.
-            **({} if self.fallback is None else {"fallback": self.fallback}),
-            "entries": [entry.to_json() for entry in self.entries],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ScreenDisposition":
-        return cls(
-            mode=data["mode"],
-            metric=data["metric"],
-            top_k=data["top_k"],
-            guard=data["guard"],
-            fallback=data.get("fallback"),
-            entries=tuple(
-                ScreenEntry(
-                    label=entry["label"],
-                    frequency_hz=entry["frequency_hz"],
-                    predicted_score=entry["predicted_score"],
-                    bound=entry.get("bound", ""),
-                    simulated=entry["simulated"],
-                )
-                for entry in data["entries"]
-            ),
-        )
-
 
 def screen_fallback_reason(spec: WorkloadSpec, config: GpuConfig) -> str | None:
     """Why the roofline screen must not prune this (spec, config) — or None.
@@ -152,35 +113,23 @@ def screen_operating_points(
     spec: WorkloadSpec,
     config: GpuConfig,
     points: tuple[OperatingPoint, ...],
-    curve: VfCurve = K40_VF_CURVE,
     domain: ClockDomain = ClockDomain.CORE,
     metric: str = "edp",
     top_k: int = 3,
     guard: int = 1,
-    expand=None,
 ) -> tuple[tuple[OperatingPoint, ...], ScreenDisposition]:
     """Rank ``points`` analytically; select the top ``top_k + guard``.
 
     Returns the selected points in *grid order* (so the caller's simulation
     pairs enumerate identically to an exhaustive sweep restricted to those
-    points) plus the full ranked disposition.
-
-    ``expand`` maps a point to the pointed :class:`GpuConfig` that would be
-    simulated for it; it MUST be the same expansion the caller's exact path
-    uses, so the screened subset shares the exact path's cache keys.  The
-    default is :func:`~repro.dvfs.sweetspot.with_operating_point` on
-    ``domain`` (the sweet-spot search's expansion).
+    points) plus the full ranked disposition.  Each point is scored on the
+    configuration :func:`~repro.dvfs.sweetspot.with_operating_point` builds
+    for it on ``domain`` — the same one the sweet-spot search simulates, so
+    the screened subset shares the exhaustive sweep's cache keys.
     """
-    if expand is None:
-        from repro.dvfs.sweetspot import with_operating_point
+    from repro.dvfs.sweetspot import with_operating_point
 
-        def expand(point):
-            return with_operating_point(config, point, curve, domain=domain)
-
-    if top_k < 1:
-        raise ExperimentError(f"screen top-k must be >= 1, got {top_k}")
-    if guard < 0:
-        raise ExperimentError(f"screen guard must be >= 0, got {guard}")
+    validate_screen("roofline", top_k, guard)
 
     reason = screen_fallback_reason(spec, config)
     if reason is not None:
@@ -205,7 +154,10 @@ def screen_operating_points(
         return tuple(points), disposition
 
     predictions = {
-        point: predictor.predict(spec, expand(point)) for point in points
+        point: predictor.predict(
+            spec, with_operating_point(config, point, domain=domain)
+        )
+        for point in points
     }
     budget = min(len(points), top_k + guard)
     ranked = top_candidates(

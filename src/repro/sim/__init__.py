@@ -6,14 +6,14 @@ kernel:
 * :class:`~repro.sim.engine.Engine` — the event heap and simulation clock.
 * :class:`~repro.sim.engine.Process` — generator-based coroutines that model
   warps, CTA dispatchers, and other active agents.
-* :mod:`~repro.sim.resources` — analytic FCFS bandwidth servers and latency
-  stations used for SM issue slots, DRAM channels, and interconnect links.
+* :mod:`~repro.sim.resources` — analytic FCFS bandwidth servers used for SM
+  issue slots, DRAM channels, and interconnect links.
 * :mod:`~repro.sim.stats` — lightweight online statistics used by counters.
 """
 
 from repro.sim.engine import AllOf, Engine, Event, Process, Timeout
-from repro.sim.resources import BandwidthServer, LatencyStation, ThroughputServer
-from repro.sim.stats import Accumulator, Histogram, UtilizationTracker
+from repro.sim.resources import BandwidthServer, ThroughputServer
+from repro.sim.stats import Accumulator, Histogram
 
 __all__ = [
     "AllOf",
@@ -22,9 +22,7 @@ __all__ = [
     "Process",
     "Timeout",
     "BandwidthServer",
-    "LatencyStation",
     "ThroughputServer",
     "Accumulator",
     "Histogram",
-    "UtilizationTracker",
 ]

@@ -87,32 +87,3 @@ class ThroughputServer(BandwidthServer):
 
     def __repr__(self) -> str:
         return f"ThroughputServer({self.name!r}, rate={self.rate:.3f} instr/cyc)"
-
-
-class LatencyStation:
-    """A fixed-latency, infinite-bandwidth pipeline stage.
-
-    Models structures whose occupancy never limits throughput in this study
-    (e.g. cache tag pipelines): every request is delayed by ``latency`` cycles
-    with no queueing.
-    """
-
-    __slots__ = ("engine", "name", "latency", "requests")
-
-    def __init__(self, engine: Engine, latency: float, name: str = ""):
-        if latency < 0:
-            raise SimulationError(
-                f"station {name!r} needs a non-negative latency, got {latency!r}"
-            )
-        self.engine = engine
-        self.name = name
-        self.latency = latency
-        self.requests = 0
-
-    def delay(self) -> float:
-        """Return the absolute time a request entering now exits the stage."""
-        self.requests += 1
-        return self.engine.now + self.latency
-
-    def __repr__(self) -> str:
-        return f"LatencyStation({self.name!r}, latency={self.latency})"

@@ -180,41 +180,3 @@ class Histogram:
 
     def __len__(self) -> int:
         return self.total
-
-
-class UtilizationTracker:
-    """Tracks busy intervals of a unit to derive idle time post-hoc.
-
-    SMs report their cumulative busy cycles; at the end of the run the GPU
-    subtracts busy from elapsed to obtain the idle (stall) cycles that feed the
-    EPStall term of the energy model.
-    """
-
-    __slots__ = ("busy_cycles", "last_start", "active")
-
-    def __init__(self) -> None:
-        self.busy_cycles = 0.0
-        self.last_start = 0.0
-        self.active = False
-
-    def begin(self, now: float) -> None:
-        """Mark the unit busy starting at ``now`` (idempotent)."""
-        if not self.active:
-            self.active = True
-            self.last_start = now
-
-    def end(self, now: float) -> None:
-        """Mark the unit idle at ``now``, accumulating the busy interval."""
-        if self.active:
-            self.busy_cycles += now - self.last_start
-            self.active = False
-
-    def add_busy(self, cycles: float) -> None:
-        """Directly credit busy cycles (used with analytic servers)."""
-        if cycles < 0:
-            raise ValueError(f"negative busy credit: {cycles!r}")
-        self.busy_cycles += cycles
-
-    def idle_cycles(self, elapsed: float) -> float:
-        """Idle cycles over an ``elapsed`` window (clamped at zero)."""
-        return max(0.0, elapsed - self.busy_cycles)

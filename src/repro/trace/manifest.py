@@ -62,12 +62,6 @@ class RunManifest:
     #: (list of ``GpmEnergy.as_dict()``); ``None`` when the run had no
     #: DVFS/residency pricing or predates per-GPM attribution.
     per_gpm_energy: list | None = None
-    #: Roofline-screening provenance when this simulation was selected by a
-    #: screened sweep (mode, metric, top_k, guard, predicted rank); ``None``
-    #: for exhaustive sweeps and manifests predating screening.  Advisory —
-    #: screening never changes the result or the cache key, only which grid
-    #: points were simulated at all.
-    screen: dict | None = None
     host: dict = field(default_factory=host_info)
     created_at: str = ""
     schema_version: int = MANIFEST_SCHEMA_VERSION
@@ -95,7 +89,6 @@ class RunManifest:
             events_per_sec=data.get("events_per_sec", 0.0),
             dvfs_residency=data.get("dvfs_residency"),
             per_gpm_energy=data.get("per_gpm_energy"),
-            screen=data.get("screen"),
             host=data.get("host", {}),
             created_at=data.get("created_at", ""),
             schema_version=data.get("schema_version", MANIFEST_SCHEMA_VERSION),

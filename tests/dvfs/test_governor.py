@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.dvfs.governor import StaticGovernor, UtilizationGovernor
+from repro.dvfs.governor import (
+    GpmObservation,
+    StaticGovernor,
+    UtilizationGovernor,
+)
 from repro.dvfs.operating_point import K40_OPERATING_POINT, K40_VF_CURVE
 from repro.errors import ConfigError
 
@@ -45,12 +49,20 @@ class TestUtilizationGovernor:
         with pytest.raises(ConfigError):
             UtilizationGovernor(high_watermark=0.3, low_watermark=0.5)
 
-    def test_on_interval_records_trace(self):
+    def test_on_chip_interval_records_trace(self):
         governor = UtilizationGovernor()
-        governor.on_interval(0, 0.1, K40_OPERATING_POINT, now=100.0,
-                             window_cycles=100.0)
-        governor.on_interval(1, 0.9, K40_OPERATING_POINT, now=100.0,
-                             window_cycles=100.0)
+        governor.on_chip_interval(
+            [
+                GpmObservation(
+                    gpm_id=0, utilization=0.1, current=K40_OPERATING_POINT
+                ),
+                GpmObservation(
+                    gpm_id=1, utilization=0.9, current=K40_OPERATING_POINT
+                ),
+            ],
+            now=100.0,
+            window_cycles=100.0,
+        )
         assert len(governor.trace) == 2
         assert len(governor.decisions_for(0)) == 1
         decision = governor.decisions_for(0)[0]

@@ -4,11 +4,9 @@ The screening contract is that it NEVER changes simulated results — only
 which grid points get simulated.  These tests pin that down end to end:
 screened sweeps hit the exact sweep's cache entries (same keys, same
 bytes), a screen wide enough to cover the grid reports the same winner as
-the exhaustive search, manifests record the disposition, and the results
-version the keys hash under stays pinned.
+the exhaustive search, each screened sweet spot carries its disposition,
+and the results version the keys hash under stays pinned.
 """
-
-import json
 
 import pytest
 
@@ -18,8 +16,6 @@ from repro.errors import ExperimentError
 from repro.experiments.keys import RESULTS_VERSION, cache_key
 from repro.experiments.runner import SweepRunner, SweepSettings
 from repro.gpu.config import table_iii_config
-from repro.roofline import RooflinePredictor
-from repro.roofline.screen import ScreenDisposition, screen_operating_points
 from repro.workloads.suite import shrunken_spec
 
 POINTS = tuple(K40_VF_CURVE.point_at(mhz * 1e6) for mhz in (324, 562, 875))
@@ -127,48 +123,3 @@ class TestSweetSpotScreening:
         with pytest.raises(ExperimentError):
             SweetSpotSearch(runner, screen="roofline", guard=-1)
 
-
-class TestRunGridScreening:
-    def test_screened_grid_manifests_record_disposition(self, spec, tmp_path):
-        runner = make_runner(tmp_path)
-        records = runner.run_grid(
-            [spec],
-            [table_iii_config(1)],
-            operating_points=POINTS,
-            screen="roofline",
-            top_k=1,
-            guard=0,
-        )
-        assert len(records) == 1  # one simulated point out of three
-        manifests = [
-            json.loads(path.read_text())
-            for path in runner.settings.cache_dir.glob("*.manifest.json")
-        ]
-        assert len(manifests) == 1
-        note = manifests[0]["screen"]
-        assert note["mode"] == "roofline"
-        assert note["top_k"] == 1 and note["guard"] == 0
-        assert note["scored_points"] == len(POINTS)
-        assert note["predicted_rank"] == 0
-
-    def test_screened_grid_needs_an_axis(self, spec, tmp_path):
-        with pytest.raises(ExperimentError):
-            make_runner(tmp_path).run_grid(
-                [spec], [table_iii_config(1)], screen="roofline"
-            )
-
-
-class TestDispositionRoundTrip:
-    def test_to_from_json(self, spec):
-        _, disposition = screen_operating_points(
-            RooflinePredictor(),
-            spec,
-            table_iii_config(2),
-            POINTS,
-            top_k=1,
-            guard=1,
-        )
-        restored = ScreenDisposition.from_json(disposition.to_json())
-        assert restored == disposition
-        assert restored.simulated_points == 2
-        assert restored.skipped_points == 1

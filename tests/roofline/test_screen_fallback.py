@@ -21,7 +21,6 @@ from repro.errors import ExperimentError
 from repro.gpu.config import table_iii_config
 from repro.roofline import RooflinePredictor
 from repro.roofline.screen import (
-    ScreenDisposition,
     screen_fallback_reason,
     screen_operating_points,
 )
@@ -85,20 +84,6 @@ class TestExhaustiveFallback:
         assert selected == POINTS
         assert disposition.fallback == "phase-schedule"
         assert disposition.simulated_points == len(POINTS)
-
-    def test_fallback_disposition_round_trips(self, phased_spec):
-        _, disposition = self._screen(phased_spec, table_iii_config(2))
-        data = disposition.to_json()
-        assert data["fallback"] == "phase-schedule"
-        assert ScreenDisposition.from_json(data) == disposition
-
-    def test_pruning_disposition_omits_fallback_key(self, flat_spec):
-        """Pre-fallback manifests must keep serializing byte-identically."""
-        _, disposition = self._screen(flat_spec, table_iii_config(2))
-        data = disposition.to_json()
-        assert disposition.fallback is None
-        assert "fallback" not in data
-        assert ScreenDisposition.from_json(data) == disposition
 
 
 class TestPredictorRefusal:

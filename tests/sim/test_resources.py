@@ -1,10 +1,10 @@
-"""Bandwidth-server and latency-station semantics."""
+"""Bandwidth-server semantics."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
-from repro.sim.resources import BandwidthServer, LatencyStation, ThroughputServer
+from repro.sim.resources import BandwidthServer, ThroughputServer
 
 
 @pytest.fixture
@@ -90,19 +90,3 @@ class TestThroughputServer:
     def test_repr_mentions_instructions(self, engine):
         assert "instr" in repr(ThroughputServer(engine, rate=4.0))
 
-
-class TestLatencyStation:
-    def test_fixed_delay(self, engine):
-        station = LatencyStation(engine, latency=30.0)
-        assert station.delay() == pytest.approx(30.0)
-        assert station.requests == 1
-
-    def test_delay_tracks_now(self, engine):
-        station = LatencyStation(engine, latency=7.0)
-        engine.schedule(5.0, lambda _v: None)
-        engine.run()
-        assert station.delay() == pytest.approx(12.0)
-
-    def test_negative_latency_rejected(self, engine):
-        with pytest.raises(SimulationError):
-            LatencyStation(engine, latency=-1.0)

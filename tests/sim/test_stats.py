@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.stats import Accumulator, Histogram, UtilizationTracker
+from repro.sim.stats import Accumulator, Histogram
 
 
 class TestAccumulator:
@@ -145,37 +145,3 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram(bucket_width=0.0)
 
-
-class TestUtilizationTracker:
-    def test_interval_accounting(self):
-        tracker = UtilizationTracker()
-        tracker.begin(10.0)
-        tracker.end(25.0)
-        assert tracker.busy_cycles == pytest.approx(15.0)
-        assert tracker.idle_cycles(elapsed=100.0) == pytest.approx(85.0)
-
-    def test_begin_is_idempotent(self):
-        tracker = UtilizationTracker()
-        tracker.begin(0.0)
-        tracker.begin(5.0)  # ignored; still busy since 0
-        tracker.end(10.0)
-        assert tracker.busy_cycles == pytest.approx(10.0)
-
-    def test_end_without_begin_is_noop(self):
-        tracker = UtilizationTracker()
-        tracker.end(5.0)
-        assert tracker.busy_cycles == 0.0
-
-    def test_direct_credit(self):
-        tracker = UtilizationTracker()
-        tracker.add_busy(30.0)
-        assert tracker.idle_cycles(40.0) == pytest.approx(10.0)
-
-    def test_negative_credit_rejected(self):
-        with pytest.raises(ValueError):
-            UtilizationTracker().add_busy(-1.0)
-
-    def test_idle_clamped_at_zero(self):
-        tracker = UtilizationTracker()
-        tracker.add_busy(50.0)
-        assert tracker.idle_cycles(elapsed=40.0) == 0.0

@@ -212,6 +212,16 @@ class TestUnifiedErrorHandling:
             ("tables", ["tables", "--quick"]),
             ("sweetspot", ["sweetspot", "--governor", "race-to-idle"]),
             ("tables", ["tables", "table1b", "--out", "tables.txt"]),
+            # Screen knobs die in the one shared check, before any
+            # simulation.
+            (
+                "capping",
+                ["capping", "--quick", "--screen", "roofline", "--top-k", "0"],
+            ),
+            (
+                "sweetspot",
+                ["sweetspot", "--screen", "roofline", "--guard", "-1"],
+            ),
         ],
     )
     def test_config_errors_are_one_line_exit_2(self, capsys, name, argv):

@@ -66,3 +66,11 @@ class TestRunManifest:
         restored = RunManifest.from_json(data)
         assert restored.events_processed == 0
         assert restored.events_per_sec == 0.0
+
+    def test_manifests_with_a_screen_key_still_load(self):
+        # Older manifests may carry a ``screen`` provenance key; it is
+        # ignored on load rather than rejected.
+        manifest = _manifest()
+        data = manifest.to_json()
+        data["screen"] = {"mode": "roofline", "top_k": 1, "guard": 0}
+        assert RunManifest.from_json(data) == manifest
